@@ -1,8 +1,9 @@
-"""Multi-tenant service: micro-batched vs serial per-client serving.
+"""Multi-tenant service: micro-batched columnar vs serial per-client serving.
 
 The acceptance bar for the query service (this PR's tentpole gate): serving
 a 120-client heterogeneous fleet's 30-second arrival stream over full-scale
-PA through the cross-client micro-batching path must be at least **3x**
+PA through the cross-client micro-batching path (``planner="columnar"``,
+the service default) must be at least **3x**
 faster wall-clock than serving the identical dispatch sequence one query at
 a time through the scalar planner/pricer — while producing the same
 verdicts and answers for every request (energies agree to the grid pricer's
@@ -37,7 +38,7 @@ def _render(record: dict) -> str:
         f"{'planner':10s} {'wall_s (min of ' + str(REPEATS) + ')':>22s} "
         f"{'qps':>10s} {'p50 lat':>10s} {'p99 lat':>10s}",
     ]
-    for planner in ("batched", "serial"):
+    for planner in ("columnar", "serial"):
         s = record[planner]
         lines.append(
             f"{planner:10s} {record[planner + '_seconds']:>22.3f} "
@@ -50,19 +51,19 @@ def _render(record: dict) -> str:
         f"(gate >= {SERVE_SPEEDUP_FLOOR:.1f}x)",
         f"outcomes equal   : {record['outcomes_equal']}",
         f"max energy relerr: {record['max_energy_rel_err']:.2e}",
-        f"served/rejected  : {record['batched']['n_served']} / "
-        f"{record['batched']['n_rejected_queue']} queue, "
-        f"{record['batched']['n_rejected_battery']} battery",
+        f"served/rejected  : {record['columnar']['n_served']} / "
+        f"{record['columnar']['n_rejected_queue']} queue, "
+        f"{record['columnar']['n_rejected_battery']} battery",
     ]
     return "\n".join(lines)
 
 
-def _outcomes_match(batched, serial):
+def _outcomes_match(columnar, serial):
     """Verdicts and answers request-for-request; worst energy divergence."""
-    if len(batched) != len(serial):
+    if len(columnar) != len(serial):
         return False, float("inf")
     worst = 0.0
-    for b, s in zip(batched.outcomes, serial.outcomes):
+    for b, s in zip(columnar.outcomes, serial.outcomes):
         if (
             b.client_id != s.client_id
             or b.verdict != s.verdict
@@ -81,11 +82,11 @@ def test_serve_microbatching_speedup(pa_env, save_report, save_json):
         pa_env.dataset, fleet, duration_s=DURATION_S, seed=7, hot_fraction=0.6
     )
 
-    reports = {"batched": [], "serial": []}
+    reports = {"columnar": [], "serial": []}
     # Alternate planners across repeats so slow drift in host load hits
     # both sides equally; score each by its fastest (least-perturbed) run.
     for _ in range(REPEATS):
-        for planner in ("batched", "serial"):
+        for planner in ("columnar", "serial"):
             service = QueryService(pa_env, **SERVICE_KNOBS)
             reports[planner].append(
                 service.serve(requests, fleet, planner=planner)
@@ -95,8 +96,8 @@ def test_serve_microbatching_speedup(pa_env, save_report, save_json):
         planner: min(runs, key=lambda r: r.wall_seconds)
         for planner, runs in reports.items()
     }
-    equal, worst_rel = _outcomes_match(best["batched"], best["serial"])
-    speedup = best["serial"].wall_seconds / best["batched"].wall_seconds
+    equal, worst_rel = _outcomes_match(best["columnar"], best["serial"])
+    speedup = best["serial"].wall_seconds / best["columnar"].wall_seconds
 
     record = {
         "n_clients": N_CLIENTS,
@@ -104,11 +105,11 @@ def test_serve_microbatching_speedup(pa_env, save_report, save_json):
         "repeats": REPEATS,
         "n_requests": len(requests),
         "service": dict(SERVICE_KNOBS),
-        "batched": best["batched"].summary(),
+        "columnar": best["columnar"].summary(),
         "serial": best["serial"].summary(),
-        "batched_seconds": best["batched"].wall_seconds,
+        "columnar_seconds": best["columnar"].wall_seconds,
         "serial_seconds": best["serial"].wall_seconds,
-        "batched_seconds_all": [r.wall_seconds for r in reports["batched"]],
+        "columnar_seconds_all": [r.wall_seconds for r in reports["columnar"]],
         "serial_seconds_all": [r.wall_seconds for r in reports["serial"]],
         "speedup": speedup,
         "outcomes_equal": equal,
@@ -117,10 +118,10 @@ def test_serve_microbatching_speedup(pa_env, save_report, save_json):
     save_report("serve_throughput", _render(record))
     save_json("BENCH_serve", record)
 
-    assert equal, "batched service outcomes differ from serial serving"
+    assert equal, "columnar service outcomes differ from serial serving"
     assert worst_rel < 1e-9, f"energy divergence {worst_rel:.2e} exceeds 1e-9"
     assert speedup >= SERVE_SPEEDUP_FLOOR, (
         f"micro-batched serving only {speedup:.2f}x faster "
-        f"({best['batched'].wall_seconds:.3f}s vs "
+        f"({best['columnar'].wall_seconds:.3f}s vs "
         f"{best['serial'].wall_seconds:.3f}s serial)"
     )

@@ -562,7 +562,6 @@ class Engine:
         policies: Union[Policy, Sequence[Policy], None] = None,
         *,
         reset_caches: bool = True,
-        processes: Optional[int] = None,
     ) -> List[GridResult]:
         """Plan and price the grid in one fused columnar pass.
 
@@ -570,7 +569,6 @@ class Engine:
         (scheme order), each bit-identical to pricing the batched planner's
         plans through :meth:`price_grid`.  No plan objects exist, so the
         plan cache is bypassed; the phase cache still dedups traversals.
-        ``processes`` shards the traversal over query blocks (exact).
         """
         from repro.core.colplan import plan_and_price_columnar
 
@@ -585,7 +583,6 @@ class Engine:
             pols,
             reset_caches=reset_caches,
             phase_cache=self.phase_cache,
-            processes=processes,
             semantic_cache=self.semantic_cache,
         )
         elapsed = time.perf_counter() - start

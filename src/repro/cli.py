@@ -716,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-client arrival rate (default: mixed 0.5-2 q/s)")
     sv.add_argument("--duration", type=float, default=10.0,
                     help="arrival-window length (simulated seconds)")
-    sv.add_argument("--planner", default="batched",
-                    choices=("batched", "columnar", "serial"),
-                    help="micro-batched service, fused columnar service, "
+    sv.add_argument("--planner", default="columnar",
+                    choices=("columnar", "serial"),
+                    help="micro-batched columnar service, "
                          "or serial per-client baseline")
     sv.add_argument("--max-queue", type=int, default=256,
                     help="bounded arrival-queue capacity")

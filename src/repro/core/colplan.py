@@ -12,9 +12,9 @@ identical by construction.
 
 The fusion works column by column:
 
-1. **Phases** — :func:`compute_query_phases_sharded` produces per-query
-   phase data (optionally fanned out over query blocks with a fork pool;
-   traversal is stateless per query, so sharding is exact).
+1. **Phases** — :func:`~repro.core.batchplan.compute_query_phases`
+   produces per-query phase data in one batched traversal (deduplicated
+   through the phase cache).
 2. **Replay** — :func:`~repro.core.batchplan._replay_workload` simulates
    every configuration's cache streams in one :class:`BatchedLRU` run;
    per-phase hit/miss counts come back as one cumulative-sum gather per
@@ -37,8 +37,7 @@ suite pins all three against each other.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from repro.constants import NetworkConfig
 from repro.core.batchplan import (
     PhaseDataCache,
     QueryPhases,
-    _compute_phases,
     _query_phase_slots,
     _replay_workload,
     _writeback_sims,
@@ -62,18 +60,15 @@ from repro.core.gridrun import (
     _price_framing_into,
     framing_key,
 )
-from repro.core.queries import Query, query_key
+from repro.core.queries import Query
 from repro.core.schemes import Scheme, SchemeConfig
-from repro.sim.nic import NIC, NICState
 from repro.sim.protocol import packetize
 from repro.sim.server import _L1_MISS_PENALTY
 
 __all__ = [
     "plan_and_price_columnar",
-    "compute_query_phases_sharded",
     "compile_slots",
     "price_compiled",
-    "columnar_pipeline_data",
 ]
 
 
@@ -458,79 +453,6 @@ def _shims_for(
 
 
 # ----------------------------------------------------------------------
-# Sharded phase computation
-# ----------------------------------------------------------------------
-#: Environment handed to fork workers by inheritance (never pickled).
-_SHARD_ENV: Optional[Environment] = None
-
-
-def _phases_shard(items: List[Tuple[tuple, Query]]) -> Dict[tuple, QueryPhases]:
-    return _compute_phases(_SHARD_ENV, dict(items))
-
-
-def compute_query_phases_sharded(
-    env: Environment,
-    queries: Sequence[Query],
-    cache: Optional[PhaseDataCache] = None,
-    *,
-    processes: Optional[int] = None,
-) -> List[QueryPhases]:
-    """:func:`compute_query_phases`, optionally sharded over query blocks.
-
-    Traversal is stateless per query — each query's phase data is
-    independent of how the workload is blocked — so fanning the missing
-    keys out over a fork pool is exact, not approximate.  Cache *replay*
-    stays in the caller's process (cache state is order-dependent across
-    the workload).  Falls back to the serial path when ``processes`` is
-    unset, the workload is too small to split, fork is unavailable, or the
-    environment carries a shard store (its residency LRU and pruning
-    counters live in this process; fork children could not report back).
-    """
-    if (
-        not processes
-        or processes <= 1
-        or len(queries) < 2 * processes
-        or getattr(env, "shard_store", None) is not None
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return compute_query_phases(env, queries, cache)
-
-    out: List[Optional[QueryPhases]] = [None] * len(queries)
-    keys: List[tuple] = []
-    missing: Dict[tuple, Query] = {}
-    for i, q in enumerate(queries):
-        k = query_key(q)
-        keys.append(k)
-        phases = cache.get(k) if cache is not None else None
-        if phases is not None:
-            out[i] = phases
-        elif k not in missing:
-            missing[k] = q
-    if missing:
-        items = list(missing.items())
-        shards = [items[i::processes] for i in range(processes)]
-        shards = [s for s in shards if s]
-        global _SHARD_ENV
-        _SHARD_ENV = env
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=len(shards)) as pool:
-                parts = pool.map(_phases_shard, shards)
-        finally:
-            _SHARD_ENV = None
-        fresh: Dict[tuple, QueryPhases] = {}
-        for part in parts:
-            fresh.update(part)
-        if cache is not None:
-            for k, phases in fresh.items():
-                cache.put(k, phases)
-        for i, k in enumerate(keys):
-            if out[i] is None:
-                out[i] = fresh[k]
-    return out  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
 # The fused engine
 # ----------------------------------------------------------------------
 def plan_and_price_columnar(
@@ -541,7 +463,6 @@ def plan_and_price_columnar(
     *,
     reset_caches: bool = True,
     phase_cache: Optional[PhaseDataCache] = None,
-    processes: Optional[int] = None,
     semantic_cache=None,
 ) -> List[GridResult]:
     """Plan and price the whole grid in one columnar pass.
@@ -551,15 +472,13 @@ def plan_and_price_columnar(
     planner's object plans through :func:`price_grid`, and therefore within
     the documented float tolerance of the scalar ``plan_query`` +
     ``price_plan`` walk.  The environment's caches finish in exactly the
-    state the scalar loop leaves them.  ``processes`` shards the traversal
-    phase over query blocks (exact; see
-    :func:`compute_query_phases_sharded`).
+    state the scalar loop leaves them.
 
     With a :class:`~repro.core.semcache.SemanticCache`, slot compilation
     accepts cache-served candidate columns instead of fresh traversals:
-    phase data comes from the cache's sequential algebra (which is why the
-    semantic path never shards — verdicts depend on query order), answers
-    stay bit-identical, and the grid prices the saved filter work.
+    phase data comes from the cache's sequential algebra (verdicts depend
+    on query order), answers stay bit-identical, and the grid prices the
+    saved filter work.
     """
     queries = list(queries)
     configs = list(configs)
@@ -583,9 +502,7 @@ def plan_and_price_columnar(
             env, queries, semantic_cache, phase_cache
         )
     else:
-        phases = compute_query_phases_sharded(
-            env, queries, phase_cache, processes=processes
-        )
+        phases = compute_query_phases(env, queries, phase_cache)
     batch, per_config, sims = _replay_workload(
         env, phases, configs, costs, reset_caches=reset_caches
     )
@@ -767,100 +684,3 @@ def price_compiled(
         env.client_cpu.retx_protocol(1.0),
     )
     return grid
-
-
-# ----------------------------------------------------------------------
-# Pipelined-execution feed
-# ----------------------------------------------------------------------
-def columnar_pipeline_data(
-    env: Environment,
-    queries: Sequence[Query],
-    config: SchemeConfig,
-    policy: Policy,
-    *,
-    phase_cache: Optional[PhaseDataCache] = None,
-) -> Tuple[List[List[tuple]], float]:
-    """Task chains + sequential wall time for the pipelined scheduler.
-
-    Chains carry ``(resource, seconds, kind, energy_j)`` tuples in the
-    format of :func:`repro.core.pipeline._tasks_for_plan` (resource 0 =
-    CPU, 1 = NET); per-element values are bit-identical to flattening the
-    batched planner's plans, so the resulting schedule is too.  The
-    sequential wall comes from the columnar grid (equal to the scalar
-    per-plan sum within float tolerance).
-    """
-    queries = list(queries)
-    for q in queries:
-        config.validate_for(q)
-    if not queries:
-        raise ValueError("columnar_pipeline_data() requires at least one query")
-    costs = env.dataset.costs
-    phases = compute_query_phases(env, queries, phase_cache)
-    batch, per_config, sims = _replay_workload(
-        env, phases, [config], costs, reset_caches=True
-    )
-    table = _CounterTable()
-    slots = _collect_slots(phases, config, per_config[0], costs, table)
-    ccyc, cen, scyc = _slot_cost_arrays(env, slots, table.matrix())
-    nq = len(queries)
-    n_res = np.fromiter(
-        (qp.answer_ids.size for qp in phases), dtype=np.int64, count=nq
-    )
-    n_cand = np.fromiter(
-        (0 if qp.is_nn else qp.cand_ids.size for qp in phases),
-        dtype=np.int64,
-        count=nq,
-    )
-    send, recv = _payload_arrays(config, n_cand, n_res, costs)
-
-    net = policy.network
-    clock = env.client_cpu.config.clock_hz
-    sclock = env.server_cpu.config.clock_hz
-    chains: List[List[tuple]] = []
-    if send is None:  # FULLY_CLIENT: one local compute per query
-        for i in range(nq):
-            chains.append([(0, ccyc[0][i] / clock, "compute", cen[0][i])])
-    else:
-        s_cyc, s_en, s_bits, _sf = _proto_costs(env.client_cpu, send, net)
-        r_cyc, r_en, r_bits, _rf = _proto_costs(env.client_cpu, recv, net)
-        nic = NIC(power_table=policy.nic_power, distance_m=net.distance_m)
-        tx_w = nic._power_of(NICState.TRANSMIT)
-        rx_w = nic._power_of(NICState.RECEIVE)
-        bw = net.bandwidth_bps
-        if config.scheme is Scheme.FILTER_CLIENT_REFINE_SERVER:
-            pre, post = [0], [1]
-        else:
-            pre, post = [], [0]
-        for i in range(nq):
-            chain: List[tuple] = []
-            for t in pre:
-                chain.append((0, ccyc[t][i] / clock, "compute", cen[t][i]))
-            chain.append((0, s_cyc[i] / clock, "proto", s_en[i]))
-            tx_s = s_bits[i] / bw
-            chain.append((1, tx_s, "tx", tx_w * tx_s))
-            chain.append((1, scyc[i] / sclock, "wait", 0.0))
-            rx_s = r_bits[i] / bw
-            chain.append((1, rx_s, "rx", rx_w * rx_s))
-            chain.append((0, r_cyc[i] / clock, "proto", r_en[i]))
-            for t in post:
-                chain.append((0, ccyc[t][i] / clock, "compute", cen[t][i]))
-            chains.append(chain)
-
-    # Sequential wall = the same workload priced cell by cell, summed in
-    # plan order (the scalar pricer's reduction order).
-    agg = _aggregates_for(env, config, ccyc, cen, scyc, send, recv, net)
-    grid = _empty_grid([], [policy], [], nq, 1)
-    _price_framing_into(
-        grid,
-        agg,
-        _PolicyColumns.build([policy], env),
-        [0],
-        env.client_cpu.clock_hz,
-        env.client_cpu.retx_protocol(1.0),
-    )
-    sequential_wall = 0.0
-    for w in grid.wall_s[:, 0].tolist():
-        sequential_wall += w
-
-    _writeback_sims(batch, per_config, sims, env, reset_caches=True)
-    return chains, sequential_wall

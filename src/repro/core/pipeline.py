@@ -148,12 +148,7 @@ def _schedule_chains(
     policy: Policy,
     sequential_wall: float,
 ) -> PipelinedResult:
-    """The two-resource list schedule over per-query task chains.
-
-    Shared by the object path (chains flattened from plans) and the
-    columnar path (chains built straight from trace columns by
-    :func:`repro.core.colplan.columnar_pipeline_data`).
-    """
+    """The two-resource list schedule over per-query task chains."""
     # Event-driven non-preemptive list schedule.  Each query is a chain of
     # tasks; a task becomes available when its predecessor in the chain
     # finishes.  When the CPU chooses among available tasks it prefers
@@ -257,21 +252,12 @@ def plan_and_price_pipelined(
     the workload is planned through the batched multi-query planner
     (:func:`repro.core.batchplan.plan_workload_batched`), which produces
     plans bit-identical to the scalar path, then priced with cross-query
-    overlap.  ``planner="columnar"`` feeds the scheduler straight from the
-    fused columnar engine's trace columns (identical task chains, no plan
-    objects); ``planner="scalar"`` falls back to per-query planning
+    overlap.  ``planner="scalar"`` falls back to per-query planning
     (mainly useful for differential testing).
     """
-    if planner not in ("batched", "scalar", "columnar"):
+    if planner not in ("batched", "scalar"):
         raise ValueError(f"unknown planner {planner!r}")
     queries = list(queries)
-    if planner == "columnar":
-        from repro.core.colplan import columnar_pipeline_data
-
-        chains, sequential_wall = columnar_pipeline_data(
-            env, queries, config, policy
-        )
-        return _schedule_chains(chains, env, policy, sequential_wall)
     if planner == "batched":
         plans = plan_workload_batched(env, queries, [config])[0]
     else:

@@ -14,6 +14,7 @@ Road-atlas operations on line-segment data (section 3):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -45,6 +46,15 @@ class QueryKind(Enum):
         return self is not QueryKind.NEAREST_NEIGHBOR
 
 
+def _check_point(q) -> None:
+    """Reject a query point with a non-finite coordinate."""
+    if not (math.isfinite(q.x) and math.isfinite(q.y)):
+        raise ValueError(
+            f"{type(q).__name__} coordinates must be finite, got "
+            f"({q.x!r}, {q.y!r})"
+        )
+
+
 @dataclass(frozen=True)
 class PointQuery:
     """All segments passing within ``eps`` of ``(x, y)``."""
@@ -54,6 +64,11 @@ class PointQuery:
     eps: float = DEFAULT_EPS
 
     kind = QueryKind.POINT
+
+    def __post_init__(self) -> None:
+        _check_point(self)
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
 
     def focus(self) -> tuple[float, float]:
         """The query's anchor point (extraction centers shipments on it)."""
@@ -68,6 +83,12 @@ class RangeQuery:
 
     kind = QueryKind.RANGE
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rect, MBR):
+            raise TypeError(
+                f"RangeQuery rect must be an MBR, got {type(self.rect).__name__}"
+            )
+
     def focus(self) -> tuple[float, float]:
         """The window center."""
         return self.rect.center()
@@ -81,6 +102,9 @@ class NNQuery:
     y: float
 
     kind = QueryKind.NEAREST_NEIGHBOR
+
+    def __post_init__(self) -> None:
+        _check_point(self)
 
     def focus(self) -> tuple[float, float]:
         """The query point itself."""
@@ -103,6 +127,7 @@ class KNNQuery:
     kind = QueryKind.NEAREST_NEIGHBOR
 
     def __post_init__(self) -> None:
+        _check_point(self)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 

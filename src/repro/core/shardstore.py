@@ -17,18 +17,14 @@ are poisoned to NaN, so any traversal that forgets to route a leaf-level
 read through a shard fails every MBR test and is caught by the
 differential oracles rather than silently reading monolithic state.
 
-Traversal is the exact twin of the unsharded engines:
-
-* :meth:`ShardStore.batch_filter` replays
-  :func:`repro.spatial.batchtraverse.batch_filter` level by level — spine
-  MBRs above the leaves, shard-gathered leaf and entry MBRs below — and
-  re-sorts with the same total-order keys, so visited nodes, candidate
-  sets, and tallies are bit-identical per query.
-* :meth:`ShardStore.batch_nearest` runs the scalar Roussopoulos loop of
-  :meth:`~repro.spatial.rtree.PackedRTree.nearest_neighbors` per query
-  (same heap discipline, tiebreaks, and visit/refine log) with
-  shard-resident MBR slices, folding results into the same
-  :class:`~repro.spatial.batchnn.BatchNNResult` shape the planner prices.
+The store is an MBR *source*, not a second traversal.  It serves the two
+gathers every batched traversal reads boxes through — ``node_mbrs``
+(leaf-node ids from their owning shard, deeper ids from the spine) and
+``entry_mbrs`` (from the owning shard) — so
+:func:`repro.spatial.batchtraverse.batch_filter` and
+:func:`repro.spatial.batchnn.sequential_nearest` walk the store exactly as
+they walk the packed tree: same visited nodes, candidates, tallies and
+visit/refine logs, bit for bit.  The store adds only window admission.
 
 Shards whose subtrees survive no MBR test are never materialized, never
 visited, never charged — that is the plan-time pruning the ledger's
@@ -42,17 +38,15 @@ requirement is a single resident shard regardless of batch shape.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.spatial import vecgeom
-from repro.spatial.batchnn import BatchNNResult, _SearchState, _drain, _finalize
-from repro.spatial.batchtraverse import BatchFilterResult, _csr_offsets
+from repro.spatial.batchnn import BatchNNResult, sequential_nearest
+from repro.spatial.batchtraverse import BatchFilterResult, batch_filter
 from repro.spatial.hilbert import DEFAULT_ORDER, hilbert_sort_keys
 from repro.spatial.rtree import PackedRTree
 from repro.spatial.shard import (
@@ -160,16 +154,40 @@ class _Shard:
     nbytes: int
 
 
+def _as_ids(ids) -> np.ndarray:
+    """Gather ids as an int64 array; a contiguous ``slice`` is expanded."""
+    if isinstance(ids, slice):
+        return np.arange(ids.start, ids.stop, dtype=np.int64)
+    return np.asarray(ids, dtype=np.int64)
+
+
+def _columns(
+    sh: _Shard, ids: np.ndarray, leaf: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One shard's entry (or leaf-node) MBR columns at global ``ids``."""
+    if leaf:
+        loc = ids - sh.leaf_lo
+        return (
+            sh.leaf_xmin[loc], sh.leaf_ymin[loc],
+            sh.leaf_xmax[loc], sh.leaf_ymax[loc],
+        )
+    loc = ids - sh.entry_lo
+    return (
+        sh.entry_xmin[loc], sh.entry_ymin[loc],
+        sh.entry_xmax[loc], sh.entry_ymax[loc],
+    )
+
+
 class ShardStore:
     """Lazy Hilbert key-range shards over one packed tree's entry order.
 
     Build with :meth:`from_tree`; attach to an environment as
     ``env.shard_store`` (the planners dispatch on that attribute).  The
-    store is a *traversal source*: it mirrors the tree-facing surface the
-    batched planners consume (``batch_filter``-shaped traversal,
-    ``batch_nearest``-shaped search, ``node_bytes_array``, ``entry_mbrs``,
-    ``entry_span_start``, ``entry_ids``) while holding only the internal
-    spine plus a bounded LRU of materialized shards.
+    store is an *MBR source*: it mirrors the tree-facing surface the
+    batched traversals read (the directory arrays, ``node_mbrs``,
+    ``entry_mbrs``, ``node_bytes_array``, ``entry_span_start``,
+    ``entry_ids``) while holding only the internal spine plus a bounded
+    LRU of materialized shards.
     """
 
     def __init__(
@@ -427,85 +445,75 @@ class ShardStore:
         """Per-node first packed entry position (the tree's, shared)."""
         return self._span_start
 
-    def entry_mbrs(
-        self, positions: np.ndarray
+    def _gather(
+        self, ids: np.ndarray, leaf: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Entry MBR columns gathered for packed ``positions``, shard-at-a-time.
+        """Entry (or, with ``leaf``, leaf-node) MBR columns for ``ids``.
 
-        The shard-store counterpart of indexing the tree's
-        ``entry_xmin``/... columns: identical values (shards recompute the
-        same floats), identical alignment with ``positions``, but routed
-        through residency — each owning shard is materialized, gathered
-        from, and only then is the next one loaded.
+        Identical values to indexing the tree's columns (shards recompute
+        the same floats), aligned with ``ids``, but routed through
+        residency: each owning shard is materialized and gathered from
+        before the next one is loaded.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        if not positions.size:
+        ids = _as_ids(ids)
+        if not ids.size:
             e = np.empty(0, dtype=np.float64)
             return e, e.copy(), e.copy(), e.copy()
         # A single-shard gather (the common case under locality) is
-        # decided from the two endpoint positions alone: index that
-        # shard's columns directly, no per-position shard map, no scatter.
-        lo_sid = bisect_right(self._bounds_list, int(positions.min())) - 1
-        hi_sid = bisect_right(self._bounds_list, int(positions.max())) - 1
+        # decided from the two endpoint ids alone: index that shard's
+        # columns directly, no per-id shard map, no scatter.
+        bounds = self._leaf_bounds_list if leaf else self._bounds_list
+        lo_sid = bisect_right(bounds, int(ids.min())) - 1
+        hi_sid = bisect_right(bounds, int(ids.max())) - 1
         if lo_sid == hi_sid:
-            sh = self._materialize(lo_sid)
-            loc = positions - sh.entry_lo
-            return (
-                sh.entry_xmin[loc],
-                sh.entry_ymin[loc],
-                sh.entry_xmax[loc],
-                sh.entry_ymax[loc],
-            )
-        sids = self.shard_of_entries(positions)
-        x0 = np.empty(positions.size, dtype=np.float64)
-        y0 = np.empty(positions.size, dtype=np.float64)
-        x1 = np.empty(positions.size, dtype=np.float64)
-        y1 = np.empty(positions.size, dtype=np.float64)
+            return _columns(self._materialize(lo_sid), ids, leaf)
+        sids = self.shard_of_leaves(ids) if leaf else self.shard_of_entries(ids)
+        out = tuple(np.empty(ids.size, dtype=np.float64) for _ in range(4))
         for sid in np.unique(sids).tolist():
-            sh = self._materialize(int(sid))
             m = sids == sid
-            loc = positions[m] - sh.entry_lo
-            x0[m] = sh.entry_xmin[loc]
-            y0[m] = sh.entry_ymin[loc]
-            x1[m] = sh.entry_xmax[loc]
-            y1[m] = sh.entry_ymax[loc]
-        return x0, y0, x1, y1
+            cols = _columns(self._materialize(sid), ids[m], leaf)
+            for o, col in zip(out, cols):
+                o[m] = col
+        return out
+
+    def entry_mbrs(
+        self, positions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Entry MBR columns gathered for packed ``positions``, shard-at-a-time."""
+        return self._gather(positions, leaf=False)
 
     def _leaf_mbrs(
         self, leaf_ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Leaf-node MBR columns gathered for ``leaf_ids``, shard-at-a-time."""
-        if not leaf_ids.size:
-            e = np.empty(0, dtype=np.float64)
-            return e, e.copy(), e.copy(), e.copy()
-        lo_sid = bisect_right(self._leaf_bounds_list, int(leaf_ids.min())) - 1
-        hi_sid = bisect_right(self._leaf_bounds_list, int(leaf_ids.max())) - 1
-        if lo_sid == hi_sid:
-            sh = self._materialize(lo_sid)
-            loc = leaf_ids - sh.leaf_lo
-            return (
-                sh.leaf_xmin[loc],
-                sh.leaf_ymin[loc],
-                sh.leaf_xmax[loc],
-                sh.leaf_ymax[loc],
-            )
-        sids = self.shard_of_leaves(leaf_ids)
-        x0 = np.empty(leaf_ids.size, dtype=np.float64)
-        y0 = np.empty(leaf_ids.size, dtype=np.float64)
-        x1 = np.empty(leaf_ids.size, dtype=np.float64)
-        y1 = np.empty(leaf_ids.size, dtype=np.float64)
-        for sid in np.unique(sids).tolist():
-            sh = self._materialize(int(sid))
-            m = sids == sid
-            loc = leaf_ids[m] - sh.leaf_lo
-            x0[m] = sh.leaf_xmin[loc]
-            y0[m] = sh.leaf_ymin[loc]
-            x1[m] = sh.leaf_xmax[loc]
-            y1[m] = sh.leaf_ymax[loc]
-        return x0, y0, x1, y1
+        return self._gather(leaf_ids, leaf=True)
+
+    def node_mbrs(
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Node MBR columns for node ``ids``: leaves from their shards.
+
+        Leaf nodes (ids below ``n_leaves``) live in the owning shards — the
+        spine's leaf rows are NaN-poisoned on purpose — and deeper nodes
+        in the always-resident spine.
+        """
+        ids = _as_ids(ids)
+        leaf = ids < self.n_leaves
+        if leaf.all():
+            return self._leaf_mbrs(ids)
+        out = (
+            self.spine_xmin[ids],
+            self.spine_ymin[ids],
+            self.spine_xmax[ids],
+            self.spine_ymax[ids],
+        )
+        if leaf.any():
+            for o, col in zip(out, self._leaf_mbrs(ids[leaf])):
+                o[leaf] = col
+        return out
 
     # ------------------------------------------------------------------
-    # Batched window/point filtering (twin of batchtraverse.batch_filter)
+    # Traversal: admission, then the shared batched engines
     # ------------------------------------------------------------------
     def batch_filter(
         self,
@@ -514,226 +522,31 @@ class ShardStore:
         qxmax: np.ndarray,
         qymax: np.ndarray,
     ) -> BatchFilterResult:
-        """Level-synchronous filter over the sharded index, bit-identical.
+        """Admit the windows, then filter them over this store's gathers.
 
-        The same frontier algorithm as
-        :func:`repro.spatial.batchtraverse.batch_filter`: internal levels
-        test spine MBRs, the level-1 expansion tests shard-gathered leaf
-        MBRs, the leaf frontier tests shard-gathered entry MBRs, and the
-        same total-order lexsorts recover scalar DFS preorder — so the
-        result is bit-for-bit the unsharded traversal's, while untouched
-        shards stay unmaterialized.
+        :func:`repro.spatial.batchtraverse.batch_filter` itself, reading
+        boxes through :meth:`node_mbrs`/:meth:`entry_mbrs` — bit-for-bit
+        the unsharded traversal's result, while untouched shards stay
+        unmaterialized.
         """
-        qxmin = np.asarray(qxmin, dtype=np.float64)
-        qymin = np.asarray(qymin, dtype=np.float64)
-        qxmax = np.asarray(qxmax, dtype=np.float64)
-        qymax = np.asarray(qymax, dtype=np.float64)
-        nq = len(qxmin)
-        empty_i64 = np.empty(0, dtype=np.int64)
-        if nq == 0:
-            z = np.zeros(1, dtype=np.int64)
-            return BatchFilterResult(
-                visited=empty_i64, visited_offsets=z,
-                cand_positions=empty_i64, cand_ids=empty_i64, cand_offsets=z,
-                mbr_tests=empty_i64,
-            )
-        self._admit_windows(qxmin, qymin, qxmax, qymax)
-
-        fq = np.arange(nq, dtype=np.int64)
-        fn = np.full(nq, self.root, dtype=np.int64)
-        vq_parts = [fq]
-        vn_parts = [fn]
-        cand_q = empty_i64
-        cand_pos = empty_i64
-        while fn.size:
-            counts = self.node_child_count[fn].astype(np.int64)
-            starts = self.node_child_start[fn].astype(np.int64)
-            total = int(counts.sum())
-            run_starts = np.cumsum(counts) - counts
-            child = np.repeat(starts - run_starts, counts) + np.arange(
-                total, dtype=np.int64
-            )
-            cq = np.repeat(fq, counts)
-            level = int(self.node_level[fn[0]])
-            if level == 0:
-                # Leaf frontier: children are packed entry positions.
-                ex0, ey0, ex1, ey1 = self.entry_mbrs(child)
-                hit = (
-                    (ex0 <= qxmax[cq])
-                    & (ex1 >= qxmin[cq])
-                    & (ey0 <= qymax[cq])
-                    & (ey1 >= qymin[cq])
-                )
-                cand_q = cq[hit]
-                cand_pos = child[hit]
-                break
-            if level == 1:
-                # Children are leaves: their MBRs live in the owning shards
-                # (the spine's leaf rows are NaN-poisoned on purpose).
-                nx0, ny0, nx1, ny1 = self._leaf_mbrs(child)
-            else:
-                nx0 = self.spine_xmin[child]
-                ny0 = self.spine_ymin[child]
-                nx1 = self.spine_xmax[child]
-                ny1 = self.spine_ymax[child]
-            hit = (
-                (nx0 <= qxmax[cq])
-                & (nx1 >= qxmin[cq])
-                & (ny0 <= qymax[cq])
-                & (ny1 >= qymin[cq])
-            )
-            fq = cq[hit]
-            fn = child[hit]
-            vq_parts.append(fq)
-            vn_parts.append(fn)
-
-        vq = np.concatenate(vq_parts)
-        vn = np.concatenate(vn_parts)
-        mbr_tests = np.bincount(
-            vq, weights=self.node_child_count[vn], minlength=nq
-        ).astype(np.int64)
-
-        spans = self.entry_span_start()
-        order = np.lexsort(
-            (-self.node_level[vn].astype(np.int64), spans[vn], vq)
-        )
-        visited = vn[order]
-        visited_offsets = _csr_offsets(vq, nq)
-
-        order = np.lexsort((cand_pos, cand_q))
-        cand_q = cand_q[order]
-        cand_pos = cand_pos[order]
-        return BatchFilterResult(
-            visited=visited,
-            visited_offsets=visited_offsets,
-            cand_positions=cand_pos,
-            cand_ids=self.entry_ids[cand_pos],
-            cand_offsets=_csr_offsets(cand_q, nq),
-            mbr_tests=mbr_tests,
-        )
-
-    # ------------------------------------------------------------------
-    # Best-first NN/k-NN (twin of rtree.nearest_neighbors, batch shape)
-    # ------------------------------------------------------------------
-    def _expand_one(self, st: _SearchState, node: int) -> None:
-        """Expand one popped node against shard-resident MBR slices.
-
-        The scalar expansion of :meth:`PackedRTree.nearest_neighbors` with
-        the MBR reads rerouted: leaf entries and leaf-node children come
-        from the owning shard (one shard per node — boundaries are
-        ``capacity**2``-aligned), deeper internal children from the spine.
-        Heap discipline, tiebreak numbering, and the kept sets match the
-        scalar loop exactly.
-        """
-        s = int(self.node_child_start[node])
-        c = int(self.node_child_count[node])
-        st.mbr_tests += c
-        if c == 0:
-            return
-        kth = st.kth
-        level = int(self.node_level[node])
-        if level == 0:
-            sh = self._materialize(bisect_right(self._bounds_list, s) - 1)
-            lo = s - sh.entry_lo
-            sl = slice(lo, lo + c)
-            mind = vecgeom.mbr_mindist_sq(
-                st.px, st.py,
-                sh.entry_xmin[sl], sh.entry_ymin[sl],
-                sh.entry_xmax[sl], sh.entry_ymax[sl],
-            )
-            order = np.argsort(mind, kind="stable")
-            md_s = mind[order]
-            # The scalar loop pushes the sorted prefix and breaks at the
-            # first child past the bound (the bound is fixed while pushing).
-            n_keep = int(np.searchsorted(md_s, kth, side="right"))
-            if n_keep == 0:
-                return
-            ds = self.dataset
-            seg = self.entry_ids[s + order[:n_keep]]
-            d = vecgeom.point_segment_distance_sq(
-                st.px, st.py, ds.x1[seg], ds.y1[seg], ds.x2[seg], ds.y2[seg],
-            )
-            mds = md_s[:n_keep].tolist()
-            ids = seg.tolist()
-            aux: Optional[list] = d.tolist()
-            tbs = list(range(st.tb + 1, st.tb + 1 + n_keep))
-            is_leaf = True
-        else:
-            if level == 1:
-                sh = self._materialize(
-                    bisect_right(self._leaf_bounds_list, s) - 1
-                )
-                lo = s - sh.leaf_lo
-                sl = slice(lo, lo + c)
-                mind = vecgeom.mbr_mindist_sq(
-                    st.px, st.py,
-                    sh.leaf_xmin[sl], sh.leaf_ymin[sl],
-                    sh.leaf_xmax[sl], sh.leaf_ymax[sl],
-                )
-            else:
-                sl = slice(s, s + c)
-                mind = vecgeom.mbr_mindist_sq(
-                    st.px, st.py,
-                    self.spine_xmin[sl], self.spine_ymin[sl],
-                    self.spine_xmax[sl], self.spine_ymax[sl],
-                )
-            kept = np.nonzero(mind <= kth)[0]
-            n_keep = int(kept.size)
-            if n_keep == 0:
-                return
-            mk = mind[kept]
-            order = np.argsort(mk, kind="stable")
-            mds = mk[order].tolist()
-            ids = (kept[order] + s).tolist()
-            # Tiebreaks follow slice (push) order; the run is re-sorted by
-            # (mindist, tiebreak) — stable argsort keeps ties in push order.
-            base = st.tb + 1
-            tbs = [base + r for r in order.tolist()]
-            aux = None
-            is_leaf = False
-        ri = len(st.runs_md)
-        st.runs_md.append(mds)
-        st.runs_tb.append(tbs)
-        st.runs_id.append(ids)
-        st.runs_aux.append(aux)
-        st.runs_entry.append(is_leaf)
-        st.runs_pos.append(0)
-        heapq.heappush(st.rheap, (mds[0], tbs[0], ri))
-        st.tb += n_keep
-        st.heap_ops += n_keep
+        windows = [
+            np.asarray(a, dtype=np.float64) for a in (qxmin, qymin, qxmax, qymax)
+        ]
+        self._admit_windows(*windows)
+        return batch_filter(self, *windows)
 
     def batch_nearest(
         self, px: np.ndarray, py: np.ndarray, ks: np.ndarray
     ) -> BatchNNResult:
         """Residency-bounded best-first search, scalar-identical per query.
 
-        Each query runs the exact scalar Roussopoulos loop (drain the
-        merge heap, expand one node, repeat) against shard-resident MBR
-        slices; the flat visit/refine log and tallies fold into the same
-        :class:`~repro.spatial.batchnn.BatchNNResult` the batched planner
-        prices.  An NN search's reach is adaptive, so admission does not
+        :func:`repro.spatial.batchnn.sequential_nearest` over this store:
+        one node expansion at a time, so at most one shard must be
+        resident.  An NN search's reach is adaptive, so admission does not
         pre-bound it — each touched shard is loaded in turn and the LRU
-        spills past budget (at most one shard is required resident).
+        spills past budget.
         """
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
-        ks = np.asarray(ks, dtype=np.int64)
-        if not (px.shape == py.shape == ks.shape):
-            raise ValueError("px, py and ks must be aligned 1-d arrays")
-        if ks.size and int(ks.min()) < 1:
-            bad = int(ks[ks < 1][0])
-            raise ValueError(f"k must be >= 1, got {bad}")
-        root = self.root
-        states = [
-            _SearchState(float(px[i]), float(py[i]), int(ks[i]), root)
-            for i in range(px.size)
-        ]
-        for st in states:
-            node = _drain(st)
-            while node >= 0:
-                self._expand_one(st, node)
-                node = _drain(st)
-        return _finalize(states)
+        return sequential_nearest(self, px, py, ks)
 
     # ------------------------------------------------------------------
     # Stats

@@ -10,9 +10,9 @@ of :class:`~repro.data.workloads.QueryRequest` arrivals, and the service
    (``battery_j``),
 2. **coalesces** admitted queries across clients into micro-batches (up to
    ``max_batch`` queries, formed after a ``batch_window_s`` collection
-   window), planned by one batched traversal and priced by one vectorized
-   grid call — the cross-client amortization the batched planner/pricer
-   were built for, and
+   window), traversed and cache-replayed in one batched pass and priced
+   by the fused columnar compile/price (:mod:`repro.core.colplan`) — the
+   cross-client amortization the batched engines were built for, and
 3. **prices contention** with a simple queueing/service-time model over
    :class:`~repro.sim.server.ServerCPU`: the server is a single resource,
    so each query's server-side compute serializes within its batch, and a
@@ -49,7 +49,6 @@ import numpy as np
 from repro.api import Engine
 from repro.core.batchplan import (
     CacheGeometry,
-    _assemble_plan,
     _make_stream,
     _query_phase_slots,
     compute_query_phases,
@@ -76,13 +75,12 @@ __all__ = [
     "VERDICTS",
 ]
 
-#: Service planners: ``"batched"`` coalesces each micro-batch through the
-#: batched planner/pricer (the point of the service); ``"columnar"`` runs
-#: the same replay but compiles and prices each micro-batch straight from
+#: Service planners: ``"columnar"`` coalesces each micro-batch into one
+#: batched traversal and replay, then compiles and prices it straight from
 #: the slot costs (:mod:`repro.core.colplan`) without materializing plan
-#: objects; ``"serial"`` is the per-query scalar reference the
-#: differential suite compares against.
-SERVE_PLANNERS = ("batched", "columnar", "serial")
+#: objects (the point of the service); ``"serial"`` is the per-query
+#: scalar reference the differential suite compares against.
+SERVE_PLANNERS = ("columnar", "serial")
 
 #: Admission verdicts a request can receive.
 VERDICTS = ("served", "rejected-queue", "rejected-battery")
@@ -348,7 +346,7 @@ class QueryService:
         requests: Sequence[QueryRequest],
         fleet: Sequence[ClientProfile],
         *,
-        planner: str = "batched",
+        planner: str = "columnar",
     ) -> ServiceReport:
         """Run the arrival stream to completion; one outcome per request.
 
@@ -357,9 +355,8 @@ class QueryService:
         or the server's free time if later), admits every arrival up to it
         against the queue bound and each client's battery budget, then
         serves up to ``max_batch`` queued queries as one micro-batch.
-        ``planner`` selects the coalesced batched path, the fused
-        columnar path (same replay, no plan objects), or the per-query
-        serial reference (:data:`SERVE_PLANNERS`); all yield identical
+        ``planner`` selects the coalesced columnar path or the per-query
+        serial reference (:data:`SERVE_PLANNERS`); both yield identical
         answers and cache states, and energies equal to the pricers'
         agreement tolerance.
         """
@@ -426,15 +423,9 @@ class QueryService:
             if planner == "columnar":
                 served = self._serve_columnar(batch_reqs, states, server_sim)
             else:
-                if planner == "batched":
-                    plans, verdicts = self._plan_batch(
-                        batch_reqs, states, server_sim
-                    )
-                    results = self._price_batch(batch_reqs, plans, states)
-                else:
-                    plans, results, verdicts = self._serve_serial(
-                        batch_reqs, states, server_sim
-                    )
+                plans, results, verdicts = self._serve_serial(
+                    batch_reqs, states, server_sim
+                )
                 served = [
                     (
                         sum(
@@ -533,8 +524,8 @@ class QueryService:
         exactly where the last batch left it.  The environment's own caches
         are never touched; the per-client sims and ``server_sim`` are
         advanced in place.  Returns ``(phases, slots, slot_costs,
-        verdicts)`` with one entry per request — the shared front half of
-        both the batched (plan-object) and columnar service paths.
+        verdicts)`` with one entry per request — the front half of
+        :meth:`_serve_columnar`.
 
         With a shared semantic cache on the engine, phase data comes from
         :func:`~repro.core.semcache.compute_query_phases_semantic` — the
@@ -647,29 +638,6 @@ class QueryService:
             server_sim.misses += server_stream.misses_total
         return phases, slots, slot_costs, verdicts
 
-    def _plan_batch(
-        self,
-        batch_reqs: List[QueryRequest],
-        states: Dict[int, _ClientState],
-        server_sim: CacheSim,
-    ) -> Tuple[List[QueryPlan], List[str]]:
-        """Plan one micro-batch through the batched machinery."""
-        phases, slots, slot_costs, verdicts = self._replay_batch(
-            batch_reqs, states, server_sim
-        )
-        costs = self.engine.env.dataset.costs
-        plans = [
-            _assemble_plan(
-                r.query,
-                states[r.client_id].profile.scheme,
-                phases[k],
-                costs,
-                slot_costs[k],
-            )
-            for k, r in enumerate(batch_reqs)
-        ]
-        return plans, verdicts
-
     def _serve_columnar(
         self,
         batch_reqs: List[QueryRequest],
@@ -678,13 +646,14 @@ class QueryService:
     ) -> List[Tuple[float, Tuple[int, ...], int, RunResult, str]]:
         """Serve one micro-batch through the fused columnar compile/price.
 
-        Same replay as :meth:`_plan_batch`, but each query compiles
-        straight from its slot costs (:func:`~repro.core.colplan.compile_slots`)
-        and the batch prices per policy group through
+        After :meth:`_replay_batch`, each query compiles straight from its
+        slot costs (:func:`~repro.core.colplan.compile_slots`) and the
+        batch prices per policy group through
         :func:`~repro.core.colplan.price_compiled` — no
-        :class:`~repro.core.executor.QueryPlan` objects exist.  Returns one
+        :class:`~repro.core.executor.QueryPlan` objects exist.  Policies
+        are hashable, so every cell priced is a cell used.  Returns one
         ``(server_cycles, answer_ids, n_results, result, semcache)`` tuple
-        per request, bit-identical to the batched path's.
+        per request.
         """
         from repro.core.colplan import compile_slots, price_compiled
 
@@ -733,29 +702,6 @@ class QueryService:
             for k in range(len(batch_reqs))
         ]
 
-    def _price_batch(
-        self,
-        batch_reqs: List[QueryRequest],
-        plans: List[QueryPlan],
-        states: Dict[int, _ClientState],
-    ) -> List[RunResult]:
-        """Price one micro-batch: one vectorized grid call per distinct policy.
-
-        Policies are hashable, so the batch's plans group by policy and each
-        group prices in one call — every cell computed is a cell used
-        (pricing the full plans x policies grid would waste a factor of the
-        policy count).
-        """
-        groups: Dict[object, List[int]] = {}
-        for k, r in enumerate(batch_reqs):
-            groups.setdefault(states[r.client_id].profile.policy, []).append(k)
-        results: List[Optional[RunResult]] = [None] * len(plans)
-        for policy, idxs in groups.items():
-            grid = self.engine.price_grid([plans[k] for k in idxs], [policy])
-            for row, k in enumerate(idxs):
-                results[k] = grid.result(row, 0)
-        return results  # type: ignore[return-value]
-
     def _serve_serial(
         self,
         batch_reqs: List[QueryRequest],
@@ -767,7 +713,7 @@ class QueryService:
         With a shared semantic cache the scalar walk goes through
         :func:`~repro.core.semcache.plan_one_semantic` — the same cache
         instance, advanced one query at a time, which is exactly the
-        sequential semantics the batched path reproduces.
+        sequential semantics the columnar path reproduces.
         """
         engine = self.engine
         env = engine.env

@@ -114,7 +114,14 @@ def expected_retx(net: NetworkConfig) -> RetxExpectation:
     b = t0
     while b < cap and weight > 0.0:
         dwell += weight * b
-        weight *= q
+        nxt = weight * q
+        if nxt == weight:
+            # With q > 0.5 the weight sticks at the smallest subnormal
+            # instead of reaching 0, while a backoff a hair above 1 grows
+            # b one ulp per term: every remaining term is below the float
+            # resolution of the sum, so stop.
+            break
+        weight = nxt
         b *= g
     dwell += weight * cap / (1.0 - q)  # capped tail, summed analytically
     return RetxExpectation(retx, dwell)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.spatial import vecgeom
 
-__all__ = ["BatchNNResult", "batch_nearest"]
+__all__ = ["BatchNNResult", "batch_nearest", "sequential_nearest"]
 
 
 @dataclass
@@ -352,11 +352,14 @@ def _expand_one(tree, st: _SearchState, node: int) -> None:
     """Expand one node for one state — the single-query round.
 
     Used for the tail of a batch (the few deepest searches), where a
-    synchronized round's fixed cost outweighs its sharing.  Matches the
-    scalar expansion exactly: same MINDIST kernel on the child slice, leaf
-    children kept as the stable-argsort prefix within the bound, internal
-    children kept in slice order (tiebreaks assigned in push order) then
-    laid out as a ``(mindist, tiebreak)``-sorted run.
+    synchronized round's fixed cost outweighs its sharing, and for whole
+    batches over a shard store.  Matches the scalar expansion exactly:
+    same MINDIST kernel on the child slice, leaf children kept as the
+    stable-argsort prefix within the bound, internal children kept in
+    slice order (tiebreaks assigned in push order) then laid out as a
+    ``(mindist, tiebreak)``-sorted run.  ``tree`` is any MBR source: child
+    boxes are read only through its ``entry_mbrs``/``node_mbrs`` gathers,
+    passed the node's contiguous child slice (views on a packed tree).
     """
     ds = tree.dataset
     s = int(tree.node_child_start[node])
@@ -364,15 +367,11 @@ def _expand_one(tree, st: _SearchState, node: int) -> None:
     st.mbr_tests += c
     if c == 0:
         return
-    sl = slice(s, s + c)
+    children = slice(s, s + c)
     kth = st.kth
     is_leaf = bool(tree.node_level[node] == 0)
     if is_leaf:
-        mind = vecgeom.mbr_mindist_sq(
-            st.px, st.py,
-            tree.entry_xmin[sl], tree.entry_ymin[sl],
-            tree.entry_xmax[sl], tree.entry_ymax[sl],
-        )
+        mind = vecgeom.mbr_mindist_sq(st.px, st.py, *tree.entry_mbrs(children))
         order = np.argsort(mind, kind="stable")
         md_s = mind[order]
         # The scalar loop pushes the sorted prefix and breaks at the first
@@ -389,11 +388,7 @@ def _expand_one(tree, st: _SearchState, node: int) -> None:
         aux: Optional[list] = d.tolist()
         tbs = list(range(st.tb + 1, st.tb + 1 + n_keep))
     else:
-        mind = vecgeom.mbr_mindist_sq(
-            st.px, st.py,
-            tree.node_xmin[sl], tree.node_ymin[sl],
-            tree.node_xmax[sl], tree.node_ymax[sl],
-        )
+        mind = vecgeom.mbr_mindist_sq(st.px, st.py, *tree.node_mbrs(children))
         kept = np.nonzero(mind <= kth)[0]
         n_keep = int(kept.size)
         if n_keep == 0:
@@ -419,15 +414,8 @@ def _expand_one(tree, st: _SearchState, node: int) -> None:
     st.heap_ops += n_keep
 
 
-def batch_nearest(tree, px, py, ks) -> BatchNNResult:
-    """Best-first (k-)NN for every query at once, bit-identical per query.
-
-    ``px``/``py``/``ks`` are aligned arrays: query ``i`` asks for the
-    ``ks[i]`` segments nearest to ``(px[i], py[i])``.  Equivalent, query by
-    query, to ``tree.nearest_neighbors(px[i], py[i], ks[i], counter)`` —
-    same answer ids, tallies, and visit/refine order (see module docstring
-    for the contract and the differential tests that enforce it).
-    """
+def _start_states(tree, px, py, ks) -> List[_SearchState]:
+    """Validated per-query search states, each holding only the root."""
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
@@ -437,10 +425,45 @@ def batch_nearest(tree, px, py, ks) -> BatchNNResult:
         bad = int(ks[ks < 1][0])
         raise ValueError(f"k must be >= 1, got {bad}")
     root = tree.root
-    states = [
+    return [
         _SearchState(float(px[i]), float(py[i]), int(ks[i]), root)
         for i in range(px.size)
     ]
+
+
+def _run_to_end(tree, st: _SearchState, node: int) -> None:
+    """Finish one search alone: expand, drain, repeat until it ends."""
+    while node >= 0:
+        _expand_one(tree, st, node)
+        node = _drain(st)
+
+
+def sequential_nearest(tree, px, py, ks) -> BatchNNResult:
+    """:func:`batch_nearest` run one query at a time, one node at a time.
+
+    The search for an MBR source without resident columns (a
+    :class:`~repro.core.shardstore.ShardStore`): every child box comes
+    through the source's ``entry_mbrs``/``node_mbrs`` gathers, one node at
+    a time, so at most one shard must be resident.  Results are
+    bit-identical to :func:`batch_nearest` (each query's search is
+    independent of how the batch is scheduled).
+    """
+    states = _start_states(tree, px, py, ks)
+    for st in states:
+        _run_to_end(tree, st, _drain(st))
+    return _finalize(states)
+
+
+def batch_nearest(tree, px, py, ks) -> BatchNNResult:
+    """Best-first (k-)NN for every query at once, bit-identical per query.
+
+    ``px``/``py``/``ks`` are aligned arrays: query ``i`` asks for the
+    ``ks[i]`` segments nearest to ``(px[i], py[i])``.  Equivalent, query by
+    query, to ``tree.nearest_neighbors(px[i], py[i], ks[i], counter)`` —
+    same answer ids, tallies, and visit/refine order (see module docstring
+    for the contract and the differential tests that enforce it).
+    """
+    states = _start_states(tree, px, py, ks)
     mbrs = _MbrTable.for_tree(tree)
 
     pend: List[_SearchState] = []
@@ -455,9 +478,7 @@ def batch_nearest(tree, px, py, ks) -> BatchNNResult:
             # Round synchronization is only a batching device — each state
             # is independent, so the stragglers just run to completion.
             for st, node in zip(pend, nodes):
-                while node >= 0:
-                    _expand_one(tree, st, node)
-                    node = _drain(st)
+                _run_to_end(tree, st, node)
             break
         _expand_round(tree, mbrs, pend, nodes)
         nxt: List[_SearchState] = []
@@ -475,9 +496,7 @@ def batch_nearest(tree, px, py, ks) -> BatchNNResult:
 def _finalize(states: List[_SearchState]) -> BatchNNResult:
     """Completed per-query states folded into one :class:`BatchNNResult`.
 
-    Shared by the round-synchronized search above and the shard store's
-    residency-bounded search (:mod:`repro.core.shardstore`), which runs
-    the same ``_drain``/expand loop against lazily-loaded shards.
+    Shared by the round-synchronized and the sequential search.
     Finalizes into flat arrays once, handing out per-query views: the
     per-query lists are tiny, so hundreds of small array constructions
     would cost more than the searches themselves.

@@ -93,6 +93,11 @@ def batch_filter(
     A point query is passed as the degenerate window ``(px, py, px, py)``:
     ``node_xmin <= qxmax`` then reads ``node_xmin <= px`` and so on — the
     exact comparisons of ``point_filter``.
+
+    ``tree`` is any MBR source: boxes are read only through its
+    ``node_mbrs``/``entry_mbrs`` gathers, so a
+    :class:`~repro.core.shardstore.ShardStore` (which serves them from
+    lazily loaded shards) traverses bit-identically to its packed tree.
     """
     qxmin = np.asarray(qxmin, dtype=np.float64)
     qymin = np.asarray(qymin, dtype=np.float64)
@@ -122,23 +127,21 @@ def batch_filter(
         run_starts = np.cumsum(counts) - counts
         child = np.repeat(starts - run_starts, counts) + np.arange(total, dtype=np.int64)
         cq = np.repeat(fq, counts)
-        if tree.node_level[fn[0]] == 0:
-            # Leaf frontier: children are packed entry positions.
-            hit = (
-                (tree.entry_xmin[child] <= qxmax[cq])
-                & (tree.entry_xmax[child] >= qxmin[cq])
-                & (tree.entry_ymin[child] <= qymax[cq])
-                & (tree.entry_ymax[child] >= qymin[cq])
-            )
+        leaf_frontier = tree.node_level[fn[0]] == 0
+        # Leaf children are packed entry positions; others are node ids.
+        x0, y0, x1, y1 = (
+            tree.entry_mbrs(child) if leaf_frontier else tree.node_mbrs(child)
+        )
+        hit = (
+            (x0 <= qxmax[cq])
+            & (x1 >= qxmin[cq])
+            & (y0 <= qymax[cq])
+            & (y1 >= qymin[cq])
+        )
+        if leaf_frontier:
             cand_q = cq[hit]
             cand_pos = child[hit]
             break
-        hit = (
-            (tree.node_xmin[child] <= qxmax[cq])
-            & (tree.node_xmax[child] >= qxmin[cq])
-            & (tree.node_ymin[child] <= qymax[cq])
-            & (tree.node_ymax[child] >= qymin[cq])
-        )
         fq = cq[hit]
         fn = child[hit]
         vq_parts.append(fq)

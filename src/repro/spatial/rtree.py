@@ -283,15 +283,26 @@ class PackedRTree:
     def entry_mbrs(self, positions: np.ndarray):
         """Entry MBR columns gathered for packed ``positions``.
 
-        The monolithic half of the traversal-source protocol shared with
-        :class:`repro.core.shardstore.ShardStore.entry_mbrs` — callers that
-        accept either source read entry boxes through this one gather.
+        With :meth:`node_mbrs`, the monolithic half of the MBR-source
+        protocol shared with :class:`repro.core.shardstore.ShardStore`:
+        the batched traversals read every box through these two gathers,
+        so they run unchanged over either source.  ``positions`` is an
+        index array or a contiguous ``slice`` (one node's children).
         """
         return (
             self.entry_xmin[positions],
             self.entry_ymin[positions],
             self.entry_xmax[positions],
             self.entry_ymax[positions],
+        )
+
+    def node_mbrs(self, ids: np.ndarray):
+        """Node MBR columns gathered for node ``ids`` (see :meth:`entry_mbrs`)."""
+        return (
+            self.node_xmin[ids],
+            self.node_ymin[ids],
+            self.node_xmax[ids],
+            self.node_ymax[ids],
         )
 
     def node_bytes_array(self) -> np.ndarray:

@@ -118,7 +118,7 @@ class TestBenchCommand:
         assert {"serve_batch", "outcome", "serve"} <= events
         with open(out_json) as fh:
             record = json.load(fh)
-        assert record["planner"] == "batched"
+        assert record["planner"] == "columnar"
         assert record["n_served"] >= 0
         assert "provenance" in record
 

@@ -9,7 +9,6 @@ from repro.api import Engine, Session
 from repro.core.batchplan import compute_query_phases, plan_workload_batched
 from repro.core.colplan import (
     compile_slots,
-    compute_query_phases_sharded,
     plan_and_price_columnar,
     price_compiled,
 )
@@ -143,15 +142,6 @@ class TestCompileSlots:
 
 
 class TestShardedPhases:
-    def test_serial_fallbacks(self, env_small, pa_small):
-        """processes<=1 or tiny workloads must not fork."""
-        qs = range_queries(pa_small, 3)
-        for processes in (None, 0, 1, 8):  # 8 > len(qs)/2 -> serial too
-            phases = compute_query_phases_sharded(
-                env_small, qs, processes=processes
-            )
-            assert len(phases) == len(qs)
-
     def test_engine_run_columnar(self, env_small, pa_small):
         """Engine.run_columnar returns per-scheme grids + plan ledger events."""
         qs = knn_queries(pa_small, 4)

@@ -108,23 +108,6 @@ class TestNNPipeline:
         assert batched.wall_seconds == scalar.wall_seconds
         assert batched.energy.total() == scalar.energy.total()
 
-    @pytest.mark.parametrize("config", [FC, FS_PRESENT, FS_RC])
-    def test_columnar_planner_matches_batched(self, env_small, pa_small,
-                                              config):
-        """The columnar feed builds identical task chains: every bucket of
-        the scheduled result — and the sequential baseline — is bit-equal."""
-        qs = range_queries(pa_small, 8, seed=78)
-        batched = plan_and_price_pipelined(env_small, qs, config)
-        columnar = plan_and_price_pipelined(
-            env_small, qs, config, planner="columnar"
-        )
-        assert columnar.wall_seconds == batched.wall_seconds
-        assert columnar.sequential_wall_seconds == (
-            batched.sequential_wall_seconds
-        )
-        assert columnar.energy == batched.energy
-        assert columnar.cycles == batched.cycles
-
     def test_unknown_planner_raises(self, env_small, pa_small):
         with pytest.raises(ValueError, match="unknown planner"):
             plan_and_price_pipelined(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.queries import NNQuery, PointQuery, QueryKind, RangeQuery
+import math
+
+import pytest
+
+from repro.core.queries import KNNQuery, NNQuery, PointQuery, QueryKind, RangeQuery
 from repro.spatial.mbr import MBR
 
 
@@ -31,3 +35,30 @@ class TestKinds:
 
     def test_point_default_eps_positive(self):
         assert PointQuery(0, 0).eps > 0
+
+
+class TestValidation:
+    """Bad queries fail at construction with a typed error."""
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_point_rejects_non_finite_coordinates(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            PointQuery(x, y)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, -math.inf)])
+    def test_nn_rejects_non_finite_coordinates(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            NNQuery(x, y)
+
+    def test_knn_rejects_non_finite_coordinates(self):
+        with pytest.raises(ValueError, match="finite"):
+            KNNQuery(math.nan, 0.0, k=3)
+
+    @pytest.mark.parametrize("eps", [-1e-9, math.inf, math.nan])
+    def test_point_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            PointQuery(0.0, 0.0, eps=eps)
+
+    def test_range_rejects_non_mbr_rect(self):
+        with pytest.raises(TypeError, match="MBR"):
+            RangeQuery((0, 0, 1, 1))

@@ -10,7 +10,7 @@ including the simulated cache state all three leave behind.
 
 Covers the fig4/5/6/7 workload shapes, all four query kinds, lossy-link
 policy grids, warm-seeded caches, degenerate and empty windows, k past the
-dataset size, multiprocessing shards, the Session/ledger surface, and
+dataset size, the Session/ledger surface, and
 hypothesis-random workloads over random datasets.
 """
 
@@ -21,10 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.batchplan import plan_workload_batched
-from repro.core.colplan import (
-    compute_query_phases_sharded,
-    plan_and_price_columnar,
-)
+from repro.core.colplan import plan_and_price_columnar
 from repro.core.executor import Environment, Policy, plan_query
 from repro.core.gridrun import RunLedger, price_grid
 from repro.core.queries import KNNQuery, PointQuery, RangeQuery
@@ -191,35 +188,6 @@ def test_warm_cache_parity(env):
     )
     assert_grids_identical(grid_col, grid_obj)
     assert cache_state(env_col) == cache_state(env_obj)
-
-
-# ----------------------------------------------------------------------
-# Multiprocessing shards
-# ----------------------------------------------------------------------
-def test_sharded_phases_equal_serial(env):
-    queries = range_queries(env.dataset, 9, seed=51) + nn_queries(
-        env.dataset, 4, seed=52
-    )
-    serial = compute_query_phases_sharded(env, queries, processes=None)
-    sharded = compute_query_phases_sharded(env, queries, processes=3)
-    assert len(serial) == len(sharded)
-    for a, b in zip(serial, sharded):
-        assert np.array_equal(a.answer_ids, b.answer_ids)
-        assert np.array_equal(a.cand_ids, b.cand_ids)
-        assert a.is_nn == b.is_nn
-
-
-def test_sharded_columnar_bit_identical(env):
-    queries = range_queries(env.dataset, 10, seed=53)
-    policies = list(Policy.sweep())
-    serial = plan_and_price_columnar(
-        env, queries, ADEQUATE_MEMORY_CONFIGS, policies
-    )
-    sharded = plan_and_price_columnar(
-        env, queries, ADEQUATE_MEMORY_CONFIGS, policies, processes=2
-    )
-    for a, b in zip(sharded, serial):
-        assert_grids_identical(a, b)
 
 
 # ----------------------------------------------------------------------

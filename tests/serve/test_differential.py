@@ -1,7 +1,7 @@
 """Differential suite: micro-batched serving == serial per-client serving.
 
 The service's one correctness claim is that cross-client coalescing is
-invisible: the batched planner/pricer path must produce, request for
+invisible: the micro-batched columnar path must produce, request for
 request, the same admission verdicts, the same answers, the same server
 occupancy, and energies equal to the grid pricer's 1e-9 agreement
 tolerance as replaying the identical dispatch sequence one query at a time
@@ -61,7 +61,7 @@ class TestBatchedMatchesSerial:
         )
         assert len(reqs) >= 6
         service = QueryService(env_small, max_batch=8, batch_window_s=0.5)
-        batched = service.serve(reqs, fleet, planner="batched")
+        batched = service.serve(reqs, fleet, planner="columnar")
         serial = service.serve(reqs, fleet, planner="serial")
         # The stream must genuinely coalesce across clients, or the test
         # proves nothing.
@@ -80,7 +80,7 @@ class TestBatchedMatchesSerial:
         )
         reqs = fleet_query_stream(pa_small, fleet, duration_s=4.0, seed=17)
         service = QueryService(env_small, max_batch=8, batch_window_s=0.5)
-        batched = service.serve(reqs, fleet, planner="batched")
+        batched = service.serve(reqs, fleet, planner="columnar")
         serial = service.serve(reqs, fleet, planner="serial")
         assert batched.n_rejected_battery == serial.n_rejected_battery > 0
         _compare(batched, serial)
@@ -100,7 +100,7 @@ class TestBatchedMatchesSerial:
         service = QueryService(
             env_small, max_queue=3, max_batch=2, batch_window_s=0.0
         )
-        batched = service.serve(reqs, fleet, planner="batched")
+        batched = service.serve(reqs, fleet, planner="columnar")
         serial = service.serve(reqs, fleet, planner="serial")
         assert batched.n_rejected_queue == serial.n_rejected_queue > 0
         _compare(batched, serial)
@@ -117,48 +117,6 @@ class TestBatchedMatchesSerial:
         assert len(keys) < len(reqs)  # the stream really repeats queries
         service = QueryService(env_small, max_batch=16, batch_window_s=1.0)
         _compare(
-            service.serve(reqs, fleet, planner="batched"),
+            service.serve(reqs, fleet, planner="columnar"),
             service.serve(reqs, fleet, planner="serial"),
         )
-
-
-class TestColumnarMatchesBatched:
-    """The plan-object-free columnar service is the batched path bit for bit
-    (same replay, same compile arithmetic, same grid pricer), and therefore
-    matches the serial reference to the same 1e-9 bound."""
-
-    def _exact(self, columnar, batched):
-        assert len(columnar) == len(batched)
-        for c, b in zip(columnar.outcomes, batched.outcomes):
-            assert c.verdict == b.verdict
-            assert c.client_id == b.client_id
-            if not c.served:
-                continue
-            for f in ("scheme", "batch", "start_s", "queue_wait_s",
-                      "server_s", "latency_s", "energy_j", "contention_j",
-                      "answer_ids", "n_results"):
-                assert getattr(c, f) == getattr(b, f), f
-            assert c.result.energy == b.result.energy
-            assert c.result.cycles == b.result.cycles
-            assert c.result.wall_seconds == b.result.wall_seconds
-
-    def test_heterogeneous_fleet(self, env_small, pa_small):
-        fleet = client_fleet(6, seed=11)
-        reqs = fleet_query_stream(
-            pa_small, fleet, duration_s=3.0, seed=7, hot_fraction=0.5
-        )
-        service = QueryService(env_small, max_batch=8, batch_window_s=0.5)
-        columnar = service.serve(reqs, fleet, planner="columnar")
-        self._exact(columnar, service.serve(reqs, fleet, planner="batched"))
-        _compare(columnar, service.serve(reqs, fleet, planner="serial"))
-
-    def test_with_battery_rejections(self, env_small, pa_small):
-        fleet = client_fleet(
-            5, seed=13, battery_j=0.02, low_battery_fraction=1.0
-        )
-        reqs = fleet_query_stream(pa_small, fleet, duration_s=4.0, seed=17)
-        service = QueryService(env_small, max_batch=8, batch_window_s=0.5)
-        columnar = service.serve(reqs, fleet, planner="columnar")
-        batched = service.serve(reqs, fleet, planner="batched")
-        assert columnar.n_rejected_battery == batched.n_rejected_battery > 0
-        self._exact(columnar, batched)

@@ -4,8 +4,8 @@ The cache's serve-layer claim: because every cache decision is a function
 of window geometry and arrival order only, micro-batch boundaries are
 invisible — serving a stream one query at a time and serving it 64 at a
 time produce the same verdict for every request, the same answers, and
-the same final cache state.  The serial, batched, and columnar service
-planners must agree likewise, and outcomes must surface the semantic
+the same final cache state.  The serial and the micro-batched columnar
+service planners must agree likewise, and outcomes must surface the semantic
 verdict (``QueryOutcome.semcache``, ``to_record()``).
 """
 
@@ -57,8 +57,8 @@ class TestBatchBoundaryIndependence:
             env_small, max_batch=64, batch_window_s=1.0, max_queue=512,
             semantic_cache=SemanticCache(64),
         )
-        ra = one.serve(reqs, fleet, planner="batched")
-        rb = many.serve(reqs, fleet, planner="batched")
+        ra = one.serve(reqs, fleet, planner="columnar")
+        rb = many.serve(reqs, fleet, planner="columnar")
         # The big-batch run must actually coalesce, or this proves nothing.
         sizes = {}
         for o in rb.outcomes:
@@ -81,7 +81,7 @@ class TestBatchBoundaryIndependence:
         svc = QueryService(
             env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
         )
-        report = svc.serve(reqs, fleet, planner="batched")
+        report = svc.serve(reqs, fleet, planner="columnar")
         for o in report.outcomes:
             if o.served:
                 assert o.semcache in SEMCACHE_VERDICTS or o.semcache == ""
@@ -92,7 +92,7 @@ class TestPlannerEquivalence:
         fleet, reqs = _stream(pa_small, seed=17)
         batched = QueryService(
             env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
-        ).serve(reqs, fleet, planner="batched")
+        ).serve(reqs, fleet, planner="columnar")
         serial = QueryService(
             env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
         ).serve(reqs, fleet, planner="serial")
@@ -103,19 +103,6 @@ class TestPlannerEquivalence:
                     s.result.energy.total(), rel=REL
                 )
 
-    def test_columnar_equals_batched(self, env_small, pa_small):
-        fleet, reqs = _stream(pa_small, seed=19)
-        batched = QueryService(
-            env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
-        ).serve(reqs, fleet, planner="batched")
-        columnar = QueryService(
-            env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
-        ).serve(reqs, fleet, planner="columnar")
-        _compare_semantics(batched, columnar)
-        for b, c in zip(batched.outcomes, columnar.outcomes):
-            if b.served:
-                assert b.energy_j == c.energy_j
-
 
 class TestSurfacing:
     def test_outcome_record_has_semcache_field(self, env_small, pa_small):
@@ -123,7 +110,7 @@ class TestSurfacing:
         svc = QueryService(
             env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
         )
-        report = svc.serve(reqs, fleet, planner="batched")
+        report = svc.serve(reqs, fleet, planner="columnar")
         tagged = _semantic_outcomes(report)
         assert tagged
         for o in tagged:
@@ -132,7 +119,7 @@ class TestSurfacing:
     def test_no_cache_means_no_semcache_field(self, env_small, pa_small):
         fleet, reqs = _stream(pa_small, seed=23)
         report = QueryService(env_small, batch_window_s=0.5).serve(
-            reqs, fleet, planner="batched"
+            reqs, fleet, planner="columnar"
         )
         for o in report.outcomes:
             assert o.semcache == ""
@@ -146,7 +133,7 @@ class TestSurfacing:
             env_small, ledger=ledger, batch_window_s=0.5,
             semantic_cache=SemanticCache(64),
         )
-        svc.serve(reqs, fleet, planner="batched")
+        svc.serve(reqs, fleet, planner="columnar")
         events = [r for r in ledger.records if r["event"] == "semcache"]
         assert events
         stats = svc.engine.semantic_cache.stats_dict()

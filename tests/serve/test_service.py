@@ -60,7 +60,7 @@ class TestConstruction:
             QueryService(pa_small, **kw)
 
     def test_planner_list(self):
-        assert SERVE_PLANNERS == ("batched", "columnar", "serial")
+        assert SERVE_PLANNERS == ("columnar", "serial")
         assert set(VERDICTS) == {
             "served", "rejected-queue", "rejected-battery"
         }
@@ -156,7 +156,7 @@ class TestSingleClientDegeneration:
         service = QueryService(
             env_small, max_batch=4, batch_window_s=0.25
         )
-        report = service.serve(reqs, [_profile(0)], planner="batched")
+        report = service.serve(reqs, [_profile(0)], planner="columnar")
         assert report.n_served == len(qs)
         assert report.n_batches > 1  # the stream really did split into batches
 
@@ -200,4 +200,4 @@ class TestLedger:
         assert events[-1] == "serve"
         summary = [r for r in ledger.records if r["event"] == "serve"][-1]
         assert summary["n_served"] == 3
-        assert summary["planner"] == "batched"
+        assert summary["planner"] == "columnar"

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import NetworkConfig
 from repro.sim.lossy import LossyChannel, RetxExpectation, expected_retx
@@ -108,6 +108,9 @@ class TestClosedForms:
         cap=st.floats(0.0, 2.0),
     )
     @settings(max_examples=200, deadline=None)
+    # A backoff one ulp above 1 with q > 0.5 once looped forever: the
+    # weight stuck at the smallest subnormal while b crept up by ulps.
+    @example(p=0.5, burst=4.0, t0=0.01, g=math.nextafter(1.0, 2.0), cap=1.0)
     def test_dwell_always_matches_series(self, p, burst, t0, g, cap):
         cfg = net(
             loss_rate=p,
