@@ -433,7 +433,7 @@ class QueryService:
                             for s in plan.steps
                             if isinstance(s, ServerComputeStep)
                         ),
-                        tuple(int(a) for a in plan.answer_ids),
+                        tuple(plan.answer_ids.tolist()),
                         plan.n_results,
                         result,
                         verdict,
@@ -694,7 +694,7 @@ class QueryService:
         return [
             (
                 server_cycles[k],
-                tuple(int(a) for a in compiled[k].answer_ids),
+                tuple(compiled[k].answer_ids.tolist()),
                 compiled[k].n_results,
                 results[k],
                 verdicts[k],

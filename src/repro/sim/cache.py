@@ -18,9 +18,14 @@ by :mod:`repro.sim.cpu`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+import os
+import threading
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["CacheSim", "BatchedLRU"]
 
@@ -28,6 +33,12 @@ __all__ = ["CacheSim", "BatchedLRU"]
 #: :meth:`BatchedLRU.run`): below it, a vectorized step costs more in fixed
 #: NumPy overhead than a short Python loop over the same accesses.
 _SCALAR_TAIL_THRESHOLD = 48
+
+#: A closed-form stream with at least this many line accesses replays as its
+#: own shard on the worker pool (see :meth:`BatchedLRU._run_closed_form`);
+#: batches totalling under twice this replay as one universe per class,
+#: where thread hand-off would cost more than it overlaps.
+_PARALLEL_MIN_ACCESSES = 50_000
 
 
 class CacheSim:
@@ -114,20 +125,82 @@ class CacheSim:
 #: Reusable scratch buffers keyed by (site name, dtype): the replay's large
 #: intermediates are allocated once and re-sliced on subsequent runs, so
 #: steady-state replays skip the first-touch page faulting that dominates
-#: fresh multi-megabyte allocations.  Single-threaded by design, like the
-#: simulators themselves.
-_scratch: dict = {}
+#: fresh multi-megabyte allocations.  Per thread: concurrent replays (pool
+#: workers running shards, or callers running their own :class:`BatchedLRU`
+#: on separate threads) must never hand out the same buffer twice.
+class _Scratch(threading.local):
+    def __init__(self) -> None:
+        self.bufs: dict = {}
+
+
+_scratch = _Scratch()
 
 
 def _buf(name: str, shape, dtype=np.int64) -> np.ndarray:
     """An uninitialized scratch array of ``shape``, reused across calls."""
     size = int(np.prod(shape))
     key = (name, np.dtype(dtype))
-    buf = _scratch.get(key)
+    buf = _scratch.bufs.get(key)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype=dtype)
-        _scratch[key] = buf
+        _scratch.bufs[key] = buf
     return buf[:size].reshape(shape)
+
+
+#: The shard worker pool, created on first sharded replay (never at import)
+#: and dropped in forked children, whose copy has no worker threads.
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()  # another thread may have held it
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _shard_pool() -> Optional[ThreadPoolExecutor]:
+    """The worker pool, one thread per usable CPU; None with one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity API on this platform
+                workers = os.cpu_count() or 1
+            if workers < 2:
+                return None
+            # Imported on first use: concurrent.futures pulls in logging,
+            # which would add ~10 ms to every process's start-up.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="lru-shard"
+            )
+        return _pool
+
+
+def _run_shards(fn: Callable[[list], None], shards: List[list]) -> None:
+    """``fn(shard)`` for every shard, on the worker pool when it can overlap.
+
+    With one shard or one CPU the shards run in-line, in order.  Otherwise
+    every future is waited on before the first failure (in submission order)
+    is re-raised, so no worker is still writing when the caller sees it.
+    """
+    pool = _shard_pool() if len(shards) > 1 else None
+    if pool is None:
+        for shard in shards:
+            fn(shard)
+        return
+    futures = [pool.submit(fn, shard) for shard in shards]
+    errors = [f.exception() for f in futures]
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 class _BlockRMQ:
@@ -239,6 +312,13 @@ class BatchedLRU:
       guaranteed hit that leaves the set unchanged, so such runs collapse to
       their first access before simulation (index traversals are chatty in
       exactly this way).
+
+    Because streams never share sets, a large batch (associativity <= 4)
+    also splits into shards of whole streams that :meth:`run` replays
+    concurrently on a module-level thread pool sized to the CPUs this
+    process may use; small batches, and any batch on one CPU, replay
+    in-line.  Threads never leave :meth:`run`, and separate instances may
+    run on separate threads.
     """
 
     def __init__(self) -> None:
@@ -328,6 +408,14 @@ class BatchedLRU:
         sub-universe: sets never cross streams, so the split is exact, and
         it removes the per-access regime gathers a mixed universe would
         need while keeping every class on its narrow-dtype fast path.
+
+        Large batches split further, into shards of whole streams run
+        concurrently by :func:`_run_shards` (NumPy's sorts and gathers
+        release the GIL): each stream of at least
+        ``_PARALLEL_MIN_ACCESSES`` accesses is its own shard, a class's
+        remaining streams pool into one, and shards go largest first.  The
+        same argument keeps it exact — every shard owns disjoint ``hits``
+        slices and disjoint ``W`` rows.
         """
         max_assoc = max(s["assoc"] for s in self._streams)
         W = np.full((self._n_vsets, max_assoc), -1, dtype=np.int64)
@@ -340,9 +428,23 @@ class BatchedLRU:
         self._hits = hits
         lo = [s for s in self._streams if s["assoc"] <= 2]
         hi = [s for s in self._streams if s["assoc"] >= 3]
-        for group in (lo, hi):
-            if group:
+        groups = [group for group in (lo, hi) if group]
+        if pos < 2 * _PARALLEL_MIN_ACCESSES:
+            for group in groups:
                 self._closed_form_class(group, W, hits)
+            return
+        shards = []
+        for group in groups:
+            rest = []
+            for s in group:
+                if s["lines"].size >= _PARALLEL_MIN_ACCESSES:
+                    shards.append([s])
+                else:
+                    rest.append(s)
+            if rest:
+                shards.append(rest)
+        shards.sort(key=lambda sh: -sum(s["lines"].size for s in sh))
+        _run_shards(lambda sh: self._closed_form_class(sh, W, hits), shards)
 
     @staticmethod
     def _argsort_key(key: np.ndarray, kmax: int) -> np.ndarray:
@@ -365,7 +467,9 @@ class BatchedLRU:
     def _closed_form_class(
         self, streams: List[dict], W: np.ndarray, hits: np.ndarray
     ) -> None:
-        """Replay one associativity class (see :meth:`_run_closed_form`)."""
+        """Replay streams of one associativity class (see
+        :meth:`_run_closed_form`); safe to run concurrently with other
+        shards of the same batch."""
         nv = sum(s["n_sets"] for s in streams)
         row_map = np.empty(nv, dtype=np.int64)  # class row -> global W row
         assoc_row = np.empty(nv, dtype=np.int64)

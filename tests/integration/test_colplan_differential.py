@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.sim.cache as cache_mod
 from repro.core.batchplan import plan_workload_batched
 from repro.core.colplan import plan_and_price_columnar
 from repro.core.executor import Environment, Policy, plan_query
@@ -84,6 +85,15 @@ def test_fig4_point_workload(env):
 
 
 def test_fig5_range_workload(env):
+    assert_columnar_differential(
+        env, range_queries(env.dataset, 12, seed=5), ADEQUATE_MEMORY_CONFIGS,
+        LOSSY_POLICIES,
+    )
+
+
+def test_fig5_range_workload_sharded_replay(env, monkeypatch):
+    """Same workload with every D-cache replay stream as its own shard."""
+    monkeypatch.setattr(cache_mod, "_PARALLEL_MIN_ACCESSES", 1)
     assert_columnar_differential(
         env, range_queries(env.dataset, 12, seed=5), ADEQUATE_MEMORY_CONFIGS,
         LOSSY_POLICIES,
