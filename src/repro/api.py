@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import MBPS
 from repro.core.batchplan import PhaseDataCache, plan_workload_batched
@@ -282,7 +282,6 @@ class Engine:
         *,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
         sharding=None,
     ) -> None:
         if isinstance(source, Environment):
@@ -311,18 +310,9 @@ class Engine:
             raise TypeError(
                 f"ledger must be a RunLedger, got {type(ledger).__name__}"
             )
-        if semantic_cache is not None:
-            from repro.core.semcache import SemanticCache
-
-            if not isinstance(semantic_cache, SemanticCache):
-                raise TypeError(
-                    "semantic_cache must be a SemanticCache, got "
-                    f"{type(semantic_cache).__name__}"
-                )
         self.dataset = self.env.dataset
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.ledger = ledger
-        self.semantic_cache = semantic_cache
         self._fingerprint: Optional[str] = None
         self.compile_cache: Dict[tuple, object] = {}
         self._phase_cache: Optional[PhaseDataCache] = None
@@ -352,6 +342,49 @@ class Engine:
         """Record a ledger event, if this engine has a ledger."""
         if self.ledger is not None:
             self.ledger.record(event, **fields)
+
+    def _take_shard_stats(self) -> Dict[str, int]:
+        """Drain the shard store's per-call stats window (``{}`` unsharded).
+
+        Every planning call drains it once before its work, so counters a
+        failed call or a service run left behind never reach its ``plan``
+        events, and once after, for those events.
+        """
+        store = getattr(self.env, "shard_store", None)
+        return store.take_stats() if store is not None else {}
+
+    def _record_plans(
+        self,
+        n_queries: int,
+        configs: Sequence[SchemeConfig],
+        planner: str,
+        elapsed: float,
+        planned: Iterable[int],
+    ) -> None:
+        """One ledger ``plan`` event per scheme for a finished planning call.
+
+        ``planned`` indexes the schemes this call planned (the rest were
+        plan-cache hits); they share ``elapsed`` evenly.
+        """
+        shard_fields = self._take_shard_stats()
+        if self.ledger is None:
+            return
+        planned = set(planned)
+        seconds = elapsed / len(planned) if planned else 0.0
+        for i, config in enumerate(configs):
+            self.ledger.record(
+                "plan",
+                dataset=self.dataset.name,
+                scheme=config.label,
+                planner=planner,
+                n_queries=n_queries,
+                seconds=seconds if i in planned else 0.0,
+                cache_hit=i not in planned,
+                cache_hits=self.plan_cache.hits,
+                cache_misses=self.plan_cache.misses,
+                cache_hit_rate=self.plan_cache.hit_rate,
+                **shard_fields,
+            )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -427,22 +460,14 @@ class Engine:
             )
         if planner not in MATERIALIZING_PLANNERS:
             raise PlanMaterializationError(planner)
-        if self.semantic_cache is not None and planner != "batched":
-            raise ValueError(
-                "semantic_cache requires planner='batched' (the scalar "
-                "planner has no semantic filter path; use "
-                "repro.core.semcache.plan_query_semantic for the oracle walk)"
-            )
+        self._take_shard_stats()
         start = time.perf_counter()
-        # Semantically cached plans depend on the evolving cache state, so
-        # they are never stored in (or served from) the plan cache.
-        use_plan_cache = reset_caches and self.semantic_cache is None
         per_scheme: List[Optional[List[QueryPlan]]] = []
         missing: List[int] = []
         for i, config in enumerate(configs):
             plans = (
                 self.plan_cache.get(self.fingerprint, queries, config)
-                if use_plan_cache
+                if reset_caches
                 else None
             )
             per_scheme.append(plans)
@@ -457,7 +482,6 @@ class Engine:
                     todo,
                     reset_caches=reset_caches,
                     phase_cache=self.phase_cache,
-                    semantic_cache=self.semantic_cache,
                 )
             else:
                 planned = []
@@ -467,37 +491,13 @@ class Engine:
                     planned.append(self._plan_serial(queries, config))
             for i, plans in zip(missing, planned):
                 per_scheme[i] = plans
-                if use_plan_cache:
+                if reset_caches:
                     self.plan_cache.put(
                         self.fingerprint, queries, configs[i], plans
                     )
-        if self.semantic_cache is not None:
-            self.record(
-                "semcache",
-                dataset=self.dataset.name,
-                **self.semantic_cache.stats_dict(),
-            )
-        elapsed = time.perf_counter() - start
-        # Shard pruning/residency counters for this planning call (drained
-        # whether or not a ledger records them, so the window stays per-call).
-        store = getattr(self.env, "shard_store", None)
-        shard_fields = store.take_stats() if store is not None else {}
-        if self.ledger is not None:
-            planned_seconds = elapsed / len(missing) if missing else 0.0
-            for i, config in enumerate(configs):
-                self.ledger.record(
-                    "plan",
-                    dataset=self.dataset.name,
-                    scheme=config.label,
-                    planner=planner,
-                    n_queries=len(queries),
-                    seconds=planned_seconds if i in missing else 0.0,
-                    cache_hit=i not in missing,
-                    cache_hits=self.plan_cache.hits,
-                    cache_misses=self.plan_cache.misses,
-                    cache_hit_rate=self.plan_cache.hit_rate,
-                    **shard_fields,
-                )
+        self._record_plans(
+            len(queries), configs, planner, time.perf_counter() - start, missing
+        )
         return [plans if plans is not None else [] for plans in per_scheme]
 
     def price_grid(
@@ -575,6 +575,7 @@ class Engine:
         queries = self._as_queries(workload)
         configs = self._as_schemes(schemes)
         pols = self._as_policies(policies)
+        self._take_shard_stats()
         start = time.perf_counter()
         grids = plan_and_price_columnar(
             self.env,
@@ -583,33 +584,14 @@ class Engine:
             pols,
             reset_caches=reset_caches,
             phase_cache=self.phase_cache,
-            semantic_cache=self.semantic_cache,
         )
-        elapsed = time.perf_counter() - start
-        if self.semantic_cache is not None:
-            self.record(
-                "semcache",
-                dataset=self.dataset.name,
-                **self.semantic_cache.stats_dict(),
-            )
-        store = getattr(self.env, "shard_store", None)
-        shard_fields = store.take_stats() if store is not None else {}
-        if self.ledger is not None:
-            per_scheme = elapsed / len(configs) if configs else 0.0
-            for config in configs:
-                self.ledger.record(
-                    "plan",
-                    dataset=self.dataset.name,
-                    scheme=config.label,
-                    planner="columnar",
-                    n_queries=len(queries),
-                    seconds=per_scheme,
-                    cache_hit=False,
-                    cache_hits=self.plan_cache.hits,
-                    cache_misses=self.plan_cache.misses,
-                    cache_hit_rate=self.plan_cache.hit_rate,
-                    **shard_fields,
-                )
+        self._record_plans(
+            len(queries),
+            configs,
+            "columnar",
+            time.perf_counter() - start,
+            range(len(configs)),
+        )
         return grids
 
 
@@ -630,19 +612,13 @@ class Session:
         *,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
         sharding=None,
     ) -> None:
         if isinstance(source, Engine):
-            if (
-                plan_cache is not None
-                or ledger is not None
-                or semantic_cache is not None
-                or sharding is not None
-            ):
+            if plan_cache is not None or ledger is not None or sharding is not None:
                 raise TypeError(
-                    "plan_cache, ledger, semantic_cache and sharding are "
-                    "configured on the shared Engine; do not pass them again"
+                    "plan_cache, ledger and sharding are configured on the "
+                    "shared Engine; do not pass them again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
@@ -650,7 +626,6 @@ class Session:
                 source,
                 plan_cache=plan_cache,
                 ledger=ledger,
-                semantic_cache=semantic_cache,
                 sharding=sharding,
             )
         else:
@@ -690,16 +665,6 @@ class Session:
     def phase_cache(self) -> PhaseDataCache:
         """The engine's phase-data cache."""
         return self.engine.phase_cache
-
-    @property
-    def semantic_cache(self):
-        """The engine's semantic candidate cache (``None`` when disabled)."""
-        return self.engine.semantic_cache
-
-    # Backwards-compatible aliases for the pre-Engine attribute layout.
-    _as_queries = staticmethod(Engine._as_queries)
-    _as_policies = staticmethod(Engine._as_policies)
-    _as_schemes = staticmethod(Engine._as_schemes)
 
     # ------------------------------------------------------------------
     def plan(

@@ -16,11 +16,6 @@ Commands
 ``serve``
     Run the multi-tenant query service over a generated client fleet and
     print throughput, admission, and latency/energy percentiles.
-``semcache``
-    Measure the cross-query semantic candidate cache on the locality-skewed
-    browse workload: verifies answers are bit-identical to uncached
-    planning, reports hit/refine/miss tallies, and gates the node-visit and
-    client-energy reductions (exits 1 on a miss of either).
 ``taxonomy``
     Print the Table 1 work-partitioning taxonomy.
 
@@ -423,120 +418,8 @@ def cmd_planbench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_semcache(args: argparse.Namespace) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.bench.provenance import stamp_record
-    from repro.core.batchplan import compute_query_phases
-    from repro.core.semcache import SemanticCache, compute_query_phases_semantic
-    from repro.data.workloads import locality_workload
-
-    env = _load_env(args.dataset, args.scale)
-    queries = locality_workload(
-        env.dataset, args.groups, args.zoom, seed=args.seed
-    )
-    config = SchemeConfig(Scheme.FULLY_CLIENT)
-    policy = _policy(args)
-
-    # Charged filter-phase node visits per query occurrence, both paths.
-    env.reset_caches()
-    uncached = compute_query_phases(env, queries)
-    nodes_uncached = sum(
-        int(qp.filter_trace.counter.nodes_visited) for qp in uncached
-    )
-    cache = SemanticCache(args.capacity)
-    env.reset_caches()
-    semantic, verdicts = compute_query_phases_semantic(env, queries, cache)
-    nodes_semantic = sum(
-        int(qp.filter_trace.counter.nodes_visited) for qp in semantic
-    )
-    answers_equal = len(uncached) == len(semantic) and all(
-        np.array_equal(a.answer_ids, b.answer_ids)
-        for a, b in zip(semantic, uncached)
-    )
-
-    # Priced client energy through the facade, fresh caches per run.
-    base_row = Session(env).run(
-        queries, schemes=config, policies=policy
-    ).rows[0]
-    sem_row = Session(env, semantic_cache=SemanticCache(args.capacity)).run(
-        queries, schemes=config, policies=policy
-    ).rows[0]
-    node_reduction = (
-        1.0 - nodes_semantic / nodes_uncached if nodes_uncached else 0.0
-    )
-    energy_reduction = (
-        1.0 - sem_row.energy_j / base_row.energy_j if base_row.energy_j else 0.0
-    )
-    stats = cache.stats_dict()
-    record = {
-        "workload": "locality",
-        "dataset": env.dataset.name,
-        "scale": args.scale,
-        "n_queries": len(queries),
-        "groups": args.groups,
-        "zoom_depth": args.zoom,
-        "seed": args.seed,
-        "capacity": args.capacity,
-        "scheme": config.label,
-        "bandwidth_mbps": args.bandwidth,
-        "answers_equal": answers_equal,
-        "nodes_uncached": nodes_uncached,
-        "nodes_semantic": nodes_semantic,
-        "node_reduction": node_reduction,
-        "energy_uncached_j": base_row.energy_j,
-        "energy_semantic_j": sem_row.energy_j,
-        "energy_reduction": energy_reduction,
-        "verdicts": {
-            v: sum(1 for x in verdicts if x == v)
-            for v in ("hit", "refine", "miss")
-        },
-        "cache": stats,
-    }
-    print(f"semantic candidate cache -- {env.dataset.name} locality workload")
-    print(f"queries : {len(queries)}  (groups={args.groups}, zoom={args.zoom})")
-    print(
-        "verdicts: "
-        f"{record['verdicts']['hit']} hit / "
-        f"{record['verdicts']['refine']} refine / "
-        f"{record['verdicts']['miss']} miss  "
-        f"(hit rate {stats['hit_rate']:.1%})"
-    )
-    print(
-        f"nodes   : {nodes_uncached} uncached -> {nodes_semantic} cached  "
-        f"({node_reduction:.1%} fewer R-tree node visits)"
-    )
-    print(
-        f"energy  : {base_row.energy_j:.4f} J -> {sem_row.energy_j:.4f} J  "
-        f"({energy_reduction:.1%} less client energy)"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"json    : {args.json}")
-    if not answers_equal:
-        print(
-            "FAIL: semantic-cached answers differ from uncached planning",
-            file=sys.stderr,
-        )
-        return 1
-    if node_reduction < 0.3:
-        print(
-            f"FAIL: node-visit reduction {node_reduction:.1%} below the "
-            "30% gate",
-            file=sys.stderr,
-        )
-        return 1
-    if sem_row.energy_j >= base_row.energy_j:
-        print(
-            "FAIL: semantic cache did not reduce client energy",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+def _ms_list(walls: List[float]) -> str:
+    return "[" + ", ".join(f"{w * 1e3:.1f}" for w in walls) + "]"
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -551,6 +434,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from repro.core.shardstore import ShardConfig, ShardStore
     from repro.data.workloads import locality_workload
 
+    if args.repeat < 1:
+        print("FAIL: --repeat must be at least 1", file=sys.stderr)
+        return 2
     env = _load_env(args.dataset, args.scale)
     queries = locality_workload(
         env.dataset, args.groups, args.zoom, seed=args.seed
@@ -573,12 +459,19 @@ def cmd_shard(args: argparse.Namespace) -> int:
     # interleave the timed rounds so a frequency wobble hits both sides.
     base_phases, _ = timed(env)
     shard_phases, _ = timed(env_sharded)
-    base_wall = shard_wall = float("inf")
+    base_walls: List[float] = []
+    shard_walls: List[float] = []
     for _ in range(args.repeat):
-        _, w = timed(env)
-        base_wall = min(base_wall, w)
-        _, w = timed(env_sharded)
-        shard_wall = min(shard_wall, w)
+        base_walls.append(timed(env)[1])
+        shard_walls.append(timed(env_sharded)[1])
+    base_wall, shard_wall = min(base_walls), min(shard_walls)
+
+    def spread(walls: List[float]) -> float:
+        """Interquartile range over the median (0 for a single round)."""
+        q1, med, q3 = np.percentile(walls, [25, 50, 75])
+        return float((q3 - q1) / med) if med > 0 else 0.0
+
+    base_spread, shard_spread = spread(base_walls), spread(shard_walls)
     stats = env_sharded.shard_store.stats_dict()
     prune_rate = (
         stats["shards_pruned"] / stats["shards_total"]
@@ -606,6 +499,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
         "prune_rate": prune_rate,
         "wall_unsharded_s": base_wall,
         "wall_sharded_s": shard_wall,
+        "walls_unsharded_s": base_walls,
+        "walls_sharded_s": shard_walls,
+        "spread_unsharded": base_spread,
+        "spread_sharded": shard_spread,
         "slowdown": slowdown,
         "min_prune_rate": args.min_prune,
         "max_slowdown": args.max_slowdown,
@@ -620,7 +517,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
     )
     print(
         f"wall    : {base_wall * 1e3:.1f} ms unsharded -> "
-        f"{shard_wall * 1e3:.1f} ms sharded ({slowdown:.2f}x)"
+        f"{shard_wall * 1e3:.1f} ms sharded ({slowdown:.2f}x); "
+        f"walls {_ms_list(base_walls)} / {_ms_list(shard_walls)} ms, "
+        f"spread {base_spread:.1%} / {shard_spread:.1%}"
     )
     if args.json:
         with open(args.json, "w") as fh:
@@ -758,23 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--json", metavar="PATH", default=None,
                     help="write the machine-readable record to PATH")
 
-    sc = sub.add_parser(
-        "semcache",
-        help="measure the semantic candidate cache on the locality workload; "
-             "--json PATH writes BENCH_semcache.json",
-    )
-    sc.add_argument("--groups", type=int, default=40,
-                    help="hotspot groups in the locality workload")
-    sc.add_argument("--zoom", type=int, default=3,
-                    help="zoom-in queries per group")
-    sc.add_argument("--capacity", type=int, default=4096,
-                    help="semantic-cache capacity in entries")
-    sc.add_argument("--seed", type=int, default=31, help="workload seed")
-    sc.add_argument("--bandwidth", type=float, default=2.0, help="Mbps")
-    sc.add_argument("--distance", type=float, default=1000.0, help="meters")
-    sc.add_argument("--json", metavar="PATH", default=None,
-                    help="write the machine-readable record to PATH")
-
     sh = sub.add_parser(
         "shard",
         help="measure Hilbert key-range shard pruning on the locality "
@@ -790,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="resident-shard budget in MiB (default: unbounded)")
     sh.add_argument("--seed", type=int, default=31, help="workload seed")
     sh.add_argument("--repeat", type=int, default=5,
-                    help="timed rounds per engine (min is reported)")
+                    help="timed rounds per engine (min gates; every "
+                         "round's wall and the spread are reported)")
     sh.add_argument("--min-prune", type=float, default=0.5,
                     help="gate: minimum plan-time shard prune rate")
     sh.add_argument("--max-slowdown", type=float, default=1.1,
@@ -808,7 +691,6 @@ _COMMANDS = {
     "bench": cmd_bench,
     "serve": cmd_serve,
     "planbench": cmd_planbench,
-    "semcache": cmd_semcache,
     "shard": cmd_shard,
 }
 

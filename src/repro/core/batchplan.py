@@ -397,23 +397,6 @@ def _pr_phases(
         visited.astype(np.int64),
         node_bytes[visited],
     )
-    return _phases_with_filter(key, q, filter_trace, cand_ids, answer_ids, costs)
-
-
-def _phases_with_filter(
-    key: tuple,
-    q: Query,
-    filter_trace: PhaseTrace,
-    cand_ids: np.ndarray,
-    answer_ids: np.ndarray,
-    costs,
-) -> QueryPhases:
-    """Phase data from an already-built filter trace (traversal or cache).
-
-    The refine/answer construction shared by the traversal path above and
-    the semantic cache (:mod:`repro.core.semcache`), whose served filter
-    phases carry different counts/touches but identical downstream phases.
-    """
     nc = int(cand_ids.size)
     na = int(answer_ids.size)
     refine_fields = dict(candidates_refined=nc)
@@ -855,7 +838,6 @@ def plan_workload_batched(
     *,
     reset_caches: bool = True,
     phase_cache: Optional[PhaseDataCache] = None,
-    semantic_cache=None,
 ) -> List[List[QueryPlan]]:
     """Plan every query under every scheme configuration at once.
 
@@ -870,11 +852,6 @@ def plan_workload_batched(
     all configurations on one warm timeline (no cross-config stream
     sharing is possible then).  Returns one plan list per configuration,
     aligned with ``configs``.
-
-    With a :class:`~repro.core.semcache.SemanticCache`, point/range filter
-    phases are served from cross-query containment algebra when possible
-    (answers stay bit-identical; op tallies reflect the saved traversal
-    work) and the cache is updated in query order.
     """
     queries = list(queries)
     configs = list(configs)
@@ -886,14 +863,7 @@ def plan_workload_batched(
     if not configs:
         return []
     costs = env.dataset.costs
-    if semantic_cache is not None:
-        from repro.core.semcache import compute_query_phases_semantic
-
-        phases, _ = compute_query_phases_semantic(
-            env, queries, semantic_cache, phase_cache
-        )
-    else:
-        phases = compute_query_phases(env, queries, phase_cache)
+    phases = compute_query_phases(env, queries, phase_cache)
 
     client = env.client_cpu
     server = env.server_cpu

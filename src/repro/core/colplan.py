@@ -463,7 +463,6 @@ def plan_and_price_columnar(
     *,
     reset_caches: bool = True,
     phase_cache: Optional[PhaseDataCache] = None,
-    semantic_cache=None,
 ) -> List[GridResult]:
     """Plan and price the whole grid in one columnar pass.
 
@@ -473,12 +472,6 @@ def plan_and_price_columnar(
     the documented float tolerance of the scalar ``plan_query`` +
     ``price_plan`` walk.  The environment's caches finish in exactly the
     state the scalar loop leaves them.
-
-    With a :class:`~repro.core.semcache.SemanticCache`, slot compilation
-    accepts cache-served candidate columns instead of fresh traversals:
-    phase data comes from the cache's sequential algebra (verdicts depend
-    on query order), answers stay bit-identical, and the grid prices the
-    saved filter work.
     """
     queries = list(queries)
     configs = list(configs)
@@ -495,14 +488,7 @@ def plan_and_price_columnar(
     if not policies:
         raise ValueError("plan_and_price_columnar() requires at least one policy")
     costs = env.dataset.costs
-    if semantic_cache is not None:
-        from repro.core.semcache import compute_query_phases_semantic
-
-        phases, _ = compute_query_phases_semantic(
-            env, queries, semantic_cache, phase_cache
-        )
-    else:
-        phases = compute_query_phases(env, queries, phase_cache)
+    phases = compute_query_phases(env, queries, phase_cache)
     batch, per_config, sims = _replay_workload(
         env, phases, configs, costs, reset_caches=reset_caches
     )

@@ -823,14 +823,6 @@ class RunLedger:
         ``loss`` (retransmitted frames per direction + backoff dwell from
         :class:`repro.sim.metrics.LossStats`); ideal-channel records keep
         their pre-loss shape exactly.
-    ``semcache``
-        Semantic candidate-cache state after a planning pass (written when
-        an :class:`~repro.api.Engine` has a ``semantic_cache``):
-        ``dataset`` plus the cache's ``stats_dict()`` — ``entries``,
-        ``capacity``, ``payload_bytes``, ``hits``, ``refines``,
-        ``misses``, ``hit_rate``, ``insertions``, ``evictions``,
-        ``pinned_buckets``, ``nodes_visited``, ``refine_tests``,
-        ``served_candidates``.
     ``bench`` / ``speedup`` / ``note``
         Free-form timings written by the CLI and the benches.
 

@@ -224,17 +224,16 @@ def locality_workload(
 ) -> List[Query]:
     """A locality-skewed browse workload: hot-region drift + window zooms.
 
-    The semantic cache's target pattern.  A hot center random-walks across
-    the extent (``drift_frac`` of the extent per group — a user panning a
-    road atlas); each group opens a base window there and zooms in
-    ``zoom_depth`` times, every zoom window *strictly contained* in its
-    parent (the semantic cache answers it by refining the parent's
-    candidates).  ``repeat_fraction`` of groups re-issue an earlier group's
-    base window verbatim (back navigation — exact hits);
-    ``point_fraction`` of zoom steps instead drop a point query inside the
-    current window (points are degenerate windows, so containment algebra
-    covers them too).  Seed-deterministic: the same arguments always
-    produce the same query list.
+    A user browsing a road atlas.  A hot center random-walks across the
+    extent (``drift_frac`` of the extent per group — panning); each group
+    opens a base window there and zooms in ``zoom_depth`` times, every zoom
+    window *strictly contained* in its parent.  ``repeat_fraction`` of
+    groups re-issue an earlier group's base window verbatim (back
+    navigation — exact repeats); ``point_fraction`` of zoom steps instead
+    drop a point query inside the current window.  Every query of a group
+    lands in one small region, so a Hilbert shard store touches few
+    shards per group and prunes the rest.  Seed-deterministic: the same
+    arguments always produce the same query list.
     """
     if n_groups <= 0:
         raise ValueError(f"n_groups must be positive, got {n_groups}")

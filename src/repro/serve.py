@@ -110,9 +110,6 @@ class QueryOutcome:
     contention_j: float = 0.0
     answer_ids: Tuple[int, ...] = ()
     n_results: int = 0
-    #: Semantic-cache verdict ("hit" / "refine" / "miss") when the service
-    #: runs with a shared semantic cache; "" otherwise (and for NN queries).
-    semcache: str = ""
     result: Optional[RunResult] = field(default=None, compare=False)
 
     @property
@@ -138,8 +135,6 @@ class QueryOutcome:
                 contention_j=self.contention_j,
                 n_results=self.n_results,
             )
-            if self.semcache:
-                rec["semcache"] = self.semcache
         return rec
 
 
@@ -300,19 +295,13 @@ class QueryService:
         batch_window_s: float = 0.05,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
         sharding=None,
     ) -> None:
         if isinstance(source, Engine):
-            if (
-                plan_cache is not None
-                or ledger is not None
-                or semantic_cache is not None
-                or sharding is not None
-            ):
+            if plan_cache is not None or ledger is not None or sharding is not None:
                 raise TypeError(
-                    "plan_cache, ledger, semantic_cache and sharding are "
-                    "configured on the shared Engine; do not pass them again"
+                    "plan_cache, ledger and sharding are configured on the "
+                    "shared Engine; do not pass them again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
@@ -320,7 +309,6 @@ class QueryService:
                 source,
                 plan_cache=plan_cache,
                 ledger=ledger,
-                semantic_cache=semantic_cache,
                 sharding=sharding,
             )
         else:
@@ -423,7 +411,7 @@ class QueryService:
             if planner == "columnar":
                 served = self._serve_columnar(batch_reqs, states, server_sim)
             else:
-                plans, results, verdicts = self._serve_serial(
+                plans, results = self._serve_serial(
                     batch_reqs, states, server_sim
                 )
                 served = [
@@ -436,9 +424,8 @@ class QueryService:
                         tuple(plan.answer_ids.tolist()),
                         plan.n_results,
                         result,
-                        verdict,
                     )
-                    for plan, result, verdict in zip(plans, results, verdicts)
+                    for plan, result in zip(plans, results)
                 ]
             # Contention: server-side compute serializes within the batch.
             clock = env.server_cpu.clock_hz
@@ -446,7 +433,7 @@ class QueryService:
             for k, idx in enumerate(batch):
                 r = reqs[idx]
                 st = states[r.client_id]
-                server_cycles, answer_ids, n_results, result, semv = served[k]
+                server_cycles, answer_ids, n_results, result = served[k]
                 server_s = server_cycles / clock
                 delay = (t_start - r.arrival_s) + cursor
                 cursor += server_s
@@ -468,7 +455,6 @@ class QueryService:
                     contention_j=contention_j,
                     answer_ids=answer_ids,
                     n_results=n_results,
-                    semcache=semv,
                     result=result,
                 )
             t_free = t_start + cursor
@@ -498,12 +484,6 @@ class QueryService:
         if self.engine.ledger is not None:
             for o in report.outcomes:
                 self.engine.record("outcome", **o.to_record())
-            if self.engine.semantic_cache is not None:
-                self.engine.record(
-                    "semcache",
-                    dataset=self.engine.dataset.name,
-                    **self.engine.semantic_cache.stats_dict(),
-                )
             self.engine.record("serve", **report.summary())
         return report
 
@@ -523,15 +503,8 @@ class QueryService:
         each warm-seeded from its saved state so every timeline continues
         exactly where the last batch left it.  The environment's own caches
         are never touched; the per-client sims and ``server_sim`` are
-        advanced in place.  Returns ``(phases, slots, slot_costs,
-        verdicts)`` with one entry per request — the front half of
-        :meth:`_serve_columnar`.
-
-        With a shared semantic cache on the engine, phase data comes from
-        :func:`~repro.core.semcache.compute_query_phases_semantic` — the
-        cache advances sequentially in dispatch order, so outcomes are
-        independent of where micro-batch boundaries fall — and ``verdicts``
-        carries each request's hit/refine/miss (else all ``""``).
+        advanced in place.  Returns ``(phases, slots, slot_costs)`` with
+        one entry per request — the front half of :meth:`_serve_columnar`.
         """
         engine = self.engine
         env = engine.env
@@ -541,20 +514,9 @@ class QueryService:
             "client": CacheGeometry.of(client_cpu.dcache, client_cpu.costs),
             "server": CacheGeometry.of(server_cpu.l1, server_cpu.costs),
         }
-        if engine.semantic_cache is not None:
-            from repro.core.semcache import compute_query_phases_semantic
-
-            phases, verdicts = compute_query_phases_semantic(
-                env,
-                [r.query for r in batch_reqs],
-                engine.semantic_cache,
-                engine.phase_cache,
-            )
-        else:
-            phases = compute_query_phases(
-                env, [r.query for r in batch_reqs], engine.phase_cache
-            )
-            verdicts = [""] * len(batch_reqs)
+        phases = compute_query_phases(
+            env, [r.query for r in batch_reqs], engine.phase_cache
+        )
         slots = [
             _query_phase_slots(qp, states[r.client_id].profile.scheme, costs)
             for qp, r in zip(phases, batch_reqs)
@@ -636,14 +598,14 @@ class QueryService:
             server_sim._sets = lru.final_sets(server_stream.handle)
             server_sim.hits += server_stream.hits_total
             server_sim.misses += server_stream.misses_total
-        return phases, slots, slot_costs, verdicts
+        return phases, slots, slot_costs
 
     def _serve_columnar(
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_sim: CacheSim,
-    ) -> List[Tuple[float, Tuple[int, ...], int, RunResult, str]]:
+    ) -> List[Tuple[float, Tuple[int, ...], int, RunResult]]:
         """Serve one micro-batch through the fused columnar compile/price.
 
         After :meth:`_replay_batch`, each query compiles straight from its
@@ -652,12 +614,11 @@ class QueryService:
         :func:`~repro.core.colplan.price_compiled` — no
         :class:`~repro.core.executor.QueryPlan` objects exist.  Policies
         are hashable, so every cell priced is a cell used.  Returns one
-        ``(server_cycles, answer_ids, n_results, result, semcache)`` tuple
-        per request.
+        ``(server_cycles, answer_ids, n_results, result)`` tuple per request.
         """
         from repro.core.colplan import compile_slots, price_compiled
 
-        phases, slots, slot_costs, verdicts = self._replay_batch(
+        phases, slots, slot_costs = self._replay_batch(
             batch_reqs, states, server_sim
         )
         env = self.engine.env
@@ -697,7 +658,6 @@ class QueryService:
                 tuple(compiled[k].answer_ids.tolist()),
                 compiled[k].n_results,
                 results[k],
-                verdicts[k],
             )
             for k in range(len(batch_reqs))
         ]
@@ -707,38 +667,21 @@ class QueryService:
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_sim: CacheSim,
-    ) -> Tuple[List[QueryPlan], List[RunResult], List[str]]:
-        """The per-query scalar reference: swap in each query's caches.
-
-        With a shared semantic cache the scalar walk goes through
-        :func:`~repro.core.semcache.plan_one_semantic` — the same cache
-        instance, advanced one query at a time, which is exactly the
-        sequential semantics the columnar path reproduces.
-        """
-        engine = self.engine
-        env = engine.env
+    ) -> Tuple[List[QueryPlan], List[RunResult]]:
+        """The per-query scalar reference: swap in each query's caches."""
+        env = self.engine.env
         client, server = env.client_cpu, env.server_cpu
         saved = (client.dcache, server.l1)
         plans: List[QueryPlan] = []
         results: List[RunResult] = []
-        verdicts: List[str] = []
         try:
             server.l1 = server_sim
             for r in batch_reqs:
                 st = states[r.client_id]
                 client.dcache = st.sim
-                if engine.semantic_cache is not None:
-                    from repro.core.semcache import plan_one_semantic
-
-                    plan, verdict = plan_one_semantic(
-                        r.query, st.profile.scheme, env, engine.semantic_cache
-                    )
-                else:
-                    plan = plan_query(r.query, st.profile.scheme, env)
-                    verdict = ""
+                plan = plan_query(r.query, st.profile.scheme, env)
                 plans.append(plan)
-                verdicts.append(verdict)
                 results.append(price_plan(plan, env, st.profile.policy))
         finally:
             client.dcache, server.l1 = saved
-        return plans, results, verdicts
+        return plans, results

@@ -30,7 +30,7 @@ pure geometry of that map:
 Everything here is exact integer geometry over the curve; which shards a
 query *actually* loads is decided by the MBR-driven traversal in
 :mod:`repro.core.shardstore` (a node's MBR can overhang its key range, so
-key overlap alone is not an exact visit predicate — see MODEL.md §9.11).
+key overlap alone is not an exact visit predicate — see MODEL.md §9.10).
 """
 
 from __future__ import annotations

@@ -264,82 +264,3 @@ class TestPlanMaterialization:
             message = str(err)
         assert "'batched'" in message and "'scalar'" in message
         assert "run_columnar" in message
-
-
-class TestSemanticCacheWiring:
-    """Session/Engine semantic_cache configuration and ledger surface."""
-
-    def test_semantic_cache_requires_type(self, env_small):
-        with pytest.raises(TypeError, match="SemanticCache"):
-            Session(env_small, semantic_cache=42)
-
-    def test_engine_source_rejects_semantic_cache(self, env_small):
-        from repro.api import Engine
-        from repro.core.semcache import SemanticCache
-
-        core = Engine(env_small)
-        with pytest.raises(TypeError, match="shared Engine"):
-            Session(core, semantic_cache=SemanticCache(8))
-
-    def test_semantic_cache_requires_batched_planner(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 1, seed=64)
-        session = Session(env_small, semantic_cache=SemanticCache(8))
-        with pytest.raises(ValueError, match="semantic_cache"):
-            session.plan_grid(qs, [FS], planner="scalar")
-
-    def test_semantic_cache_property_delegates(self, env_small):
-        from repro.core.semcache import SemanticCache
-
-        cache = SemanticCache(8)
-        session = Session(env_small, semantic_cache=cache)
-        assert session.semantic_cache is cache
-        assert Session(env_small).semantic_cache is None
-
-    def test_plan_cache_bypassed_with_semantic_cache(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 2, seed=65)
-        session = Session(env_small, semantic_cache=SemanticCache(8))
-        session.run(qs, schemes=FS, policies=Policy())
-        session.run(qs, schemes=FS, policies=Policy())
-        # Plans depend on evolving cache state, so the plan cache must
-        # never be consulted or populated.
-        assert session.plan_cache.hits == 0
-        assert session.plan_cache.misses == 0
-
-    def test_semcache_ledger_event_and_answers(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 3, seed=66)
-        ledger = RunLedger()
-        cached = Session(
-            env_small, ledger=ledger, semantic_cache=SemanticCache(8)
-        )
-        plain = Session(env_small)
-        t_cached = cached.run(qs, schemes=FS, policies=Policy())
-        t_plain = plain.run(qs, schemes=FS, policies=Policy())
-        assert [r.result.n_results for r in t_cached] == [
-            r.result.n_results for r in t_plain
-        ]
-        events = [r for r in ledger.records if r["event"] == "semcache"]
-        assert events
-        assert events[-1]["misses"] >= 1
-        assert events[-1]["entries"] >= 1
-
-    def test_run_columnar_with_semantic_cache(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 3, seed=67)
-        cached = Session(env_small, semantic_cache=SemanticCache(8))
-        got = cached.run(
-            qs, schemes=FS, policies=Policy(), planner="columnar"
-        )
-        want = Session(env_small).run(
-            qs, schemes=FS, policies=Policy(), planner="columnar"
-        )
-        assert [r.result.n_results for r in got] == [
-            r.result.n_results for r in want
-        ]
-        assert cached.semantic_cache.lookups == len(qs)

@@ -131,3 +131,27 @@ class TestBenchCommand:
             ]
         ) == 0
         assert "serial planner" in capsys.readouterr().out
+
+    def test_shard_reports_every_round(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "shard.json"
+        # Gates opened wide: this checks the record, not the host's timer.
+        assert main(
+            [
+                "--scale", "0.02", "shard", "--groups", "6", "--zoom", "2",
+                "--shards", "8", "--repeat", "3", "--min-prune", "0",
+                "--max-slowdown", "1e9", "--json", str(path),
+            ]
+        ) == 0
+        assert "spread" in capsys.readouterr().out
+        record = json.loads(path.read_text())
+        for side in ("unsharded", "sharded"):
+            walls = record[f"walls_{side}_s"]
+            assert len(walls) == 3
+            assert record[f"wall_{side}_s"] == min(walls)
+            assert record[f"spread_{side}"] >= 0.0
+
+    def test_shard_rejects_zero_repeats(self, capsys):
+        assert main(["--scale", "0.02", "shard", "--repeat", "0"]) == 2
+        assert "--repeat" in capsys.readouterr().err

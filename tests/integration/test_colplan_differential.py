@@ -8,7 +8,8 @@ Every test here runs all three paths on one workload through the shared
 oracle layer (:mod:`tests.integration.oracles`) and demands exactly that —
 including the simulated cache state all three leave behind.
 
-Covers the fig4/5/6/7 workload shapes, all four query kinds, lossy-link
+Covers the fig4/5/6/7 workload shapes, all four query kinds, the
+locality browse workload and hand-built repeated/nested windows, lossy-link
 policy grids, warm-seeded caches, degenerate and empty windows, k past the
 dataset size, the Session/ledger surface, and
 hypothesis-random workloads over random datasets.
@@ -31,6 +32,7 @@ from repro.data import tiger
 from repro.data.model import SegmentDataset
 from repro.data.workloads import (
     knn_queries,
+    locality_workload,
     nn_queries,
     point_queries,
     range_queries,
@@ -128,6 +130,42 @@ def test_mixed_query_kinds_one_workload(env):
         + knn_queries(ds, 4, seed=25)
     )
     assert_columnar_differential(env, mixed, NN_CONFIGS, LOSSY_POLICIES)
+
+
+def test_locality_workload(env):
+    """Drifting hot windows, strictly nested zooms and back navigation."""
+    assert_columnar_differential(
+        env, locality_workload(env.dataset, 8, 2, seed=31),
+        ADEQUATE_MEMORY_CONFIGS, LOSSY_POLICIES,
+    )
+
+
+def test_repeat_nest_and_cover_windows(env):
+    """Exact repeats, nested zooms, a point inside a window, and a window
+    covered by two overlapping slabs, in one sequence."""
+    ext = env.dataset.extent
+    w = ext.width / 8
+    h = ext.height / 8
+    x0 = ext.xmin + 2 * w
+    y0 = ext.ymin + 2 * h
+    outer = MBR(x0, y0, x0 + 2 * w, y0 + 2 * h)
+    inner = MBR(x0 + w / 2, y0 + h / 2, x0 + w, y0 + h)
+    left = MBR(x0, y0, x0 + w, y0 + 2 * h)
+    right = MBR(x0 + w * 0.8, y0, x0 + 2 * w, y0 + 2 * h)
+    spanning = MBR(x0 + w / 4, y0 + h / 4, x0 + 1.5 * w, y0 + 1.5 * h)
+    queries = [
+        RangeQuery(outer),
+        RangeQuery(outer),            # exact repeat
+        RangeQuery(inner),            # nested in the previous window
+        PointQuery(inner.xmin, inner.ymin),  # degenerate window in outer
+        RangeQuery(left),
+        RangeQuery(right),
+        RangeQuery(spanning),         # covered by left | right, by neither alone
+        RangeQuery(inner),            # repeat after other windows
+    ]
+    assert_columnar_differential(
+        env, queries, ADEQUATE_MEMORY_CONFIGS, LOSSY_POLICIES
+    )
 
 
 # ----------------------------------------------------------------------

@@ -9,22 +9,23 @@ energies to 1e-9, and simulator cache state — from cold caches.
 Covers the fig4/5/6/7 workload shapes, mixed query kinds, the locality
 browse workload pruning is built for, budget-limited residency over a
 dataset larger than the budget (LRU spills mid-workload), composition
-with the semantic cache and with the query service, and the ledger's
-shard fields.
+with the query service, and the ledger's shard fields.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import Engine, Session
 from repro.core.executor import Environment, Policy
-from repro.core.gridrun import RunLedger
+from repro.core.gridrun import RunLedger, read_ledger
+from repro.core.queries import RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
-from repro.core.shardstore import ShardConfig, ShardStore
+from repro.core.shardstore import ShardConfig, ShardResidencyError, ShardStore
 from repro.data import tiger
 from repro.data.workloads import (
+    client_fleet,
+    fleet_query_stream,
     knn_queries,
     locality_workload,
     nn_queries,
@@ -32,6 +33,8 @@ from repro.data.workloads import (
     point_queries,
     range_queries,
 )
+from repro.serve import QueryService
+from repro.spatial.mbr import MBR
 from tests.integration.oracles import assert_shard_differential
 
 NN_CONFIGS = (
@@ -170,29 +173,6 @@ def test_session_rejects_sharding_on_engine_source(env):
         Session(engine, sharding=ShardConfig(n_shards=4))
 
 
-def test_semcache_composes_with_sharding(env):
-    """Semantic-cached planning over a sharded engine stays bit-identical
-    to the uncached unsharded baseline, repeats served from the cache."""
-    from repro.core.batchplan import plan_workload_batched
-    from repro.core.semcache import SemanticCache
-
-    work = locality_workload(env.dataset, 6, 2, seed=41)
-    env.reset_caches()
-    base = plan_workload_batched(env, work, ADEQUATE_MEMORY_CONFIGS[:1])
-
-    env_sh = Environment.create(env.dataset, tree=env.tree)
-    env_sh.shard_store = ShardStore.from_tree(env.tree, ShardConfig(n_shards=8))
-    cache = SemanticCache(256)
-    got = plan_workload_batched(
-        env_sh, work, ADEQUATE_MEMORY_CONFIGS[:1], semantic_cache=cache
-    )
-    for got_cfg, want_cfg in zip(got, base):
-        for g, w in zip(got_cfg, want_cfg):
-            assert np.array_equal(g.answer_ids, w.answer_ids)
-    stats = cache.stats_dict()
-    assert stats["hits"] + stats["refines"] > 0
-
-
 def test_ledger_records_shard_fields(env):
     ledger = RunLedger()
     session = Session(
@@ -213,3 +193,81 @@ def test_ledger_records_shard_fields(env):
 
     text = summarize_ledger(ledger.records)
     assert "shards" in text and "pruned at plan time" in text
+
+
+# ----------------------------------------------------------------------
+# The per-call stats window
+# ----------------------------------------------------------------------
+def _window(session: Session, queries, planner: str) -> tuple:
+    """``(shards_touched, shards_pruned)`` of one planning call's events."""
+    ledger = session.ledger
+    start = len(ledger.records)
+    session.run(
+        queries, schemes=SchemeConfig(Scheme.FULLY_CLIENT), policies=Policy(),
+        planner=planner,
+    )
+    plans = [r for r in ledger.records[start:] if r["event"] == "plan"]
+    assert plans
+    return plans[-1]["shards_touched"], plans[-1]["shards_pruned"]
+
+
+@pytest.fixture(scope="module")
+def env_tenth() -> Environment:
+    return Environment.create(tiger.pa_dataset(scale=0.1))
+
+
+@pytest.mark.parametrize("planner", ["batched", "columnar"])
+def test_failed_call_does_not_leak_into_next_plan_event(
+    env_tenth, planner, tmp_path
+):
+    """A call that loads shards and then overflows residency leaves its
+    counters behind; the next call's ``plan`` event must not report them."""
+    ds = env_tenth.dataset
+    probe = ShardStore.from_tree(env_tenth.tree, ShardConfig(n_shards=8))
+    sharding = ShardConfig(
+        n_shards=8, budget_bytes=int(probe._shard_nbytes.max())
+    )
+    ext = ds.extent
+    failing = nn_queries(ds, 6, seed=71) + [
+        RangeQuery(MBR(ext.xmin, ext.ymin, ext.xmax, ext.ymax))
+    ]
+    one = point_queries(ds, 1, seed=72)
+    path = tmp_path / "run.jsonl"
+    with RunLedger(str(path)) as ledger:
+        session = Session(
+            Environment.create(ds, tree=env_tenth.tree),
+            sharding=sharding, ledger=ledger,
+        )
+        with pytest.raises(ShardResidencyError):
+            _window(session, failing, planner)
+        got = _window(session, one, planner)
+    fresh = Session(
+        Environment.create(ds, tree=env_tenth.tree),
+        sharding=sharding, ledger=RunLedger(),
+    )
+    assert got == _window(fresh, one, planner)
+    # The failed call left the file whole: every line still parses.
+    records = read_ledger(str(path))
+    assert len(records) == len(path.read_text().splitlines())
+    assert [r["event"] for r in records].count("plan") == 1
+
+
+def test_serve_does_not_leak_into_next_plan_event(env_tenth):
+    """A service run on a shared engine, then a session on that engine."""
+    ds = env_tenth.dataset
+    sharding = ShardConfig(n_shards=8)
+    fleet = client_fleet(4, seed=73)
+    requests = fleet_query_stream(ds, fleet, duration_s=2.0, seed=74)
+    one = range_queries(ds, 1, seed=72)
+    engine = Engine(
+        Environment.create(ds, tree=env_tenth.tree),
+        sharding=sharding, ledger=RunLedger(),
+    )
+    QueryService(engine).serve(requests, fleet)
+    fresh = Session(
+        Environment.create(ds, tree=env_tenth.tree),
+        sharding=sharding, ledger=RunLedger(),
+    )
+    assert _window(Session(engine), one, "columnar") == _window(
+        fresh, one, "columnar"
+    )
